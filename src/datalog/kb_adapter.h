@@ -19,8 +19,14 @@ namespace vada::datalog {
 /// mutation hazards against concurrently updated relations.
 void LoadKnowledgeBase(const KnowledgeBase& kb, Database* db);
 
-/// Loads only the relations `program` actually reads: body-atom
-/// predicates that are not themselves derived by the program. Dependency
+/// The base relations `program` reads: body-atom predicates (positive or
+/// negated) that no rule of the program derives, sorted and deduplicated.
+/// An evaluation of `program` is a pure function of these relations, so
+/// their versions are a sound memo key for its answer (the orchestrator's
+/// dependency memo, DESIGN.md §5e).
+std::vector<std::string> ReferencedRelations(const Program& program);
+
+/// Loads exactly ReferencedRelations(program) into `db`. Dependency
 /// checks and Vadalog transducers run hundreds of times per wrangle, so
 /// each evaluation stays proportional to the data it touches instead of
 /// the whole knowledge base. With a non-null `cache`, relations are

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <set>
 #include <thread>
 
 #include "common/logging.h"
@@ -74,6 +75,14 @@ void RetractQuarantineFacts(KnowledgeBase* kb, const std::string& transducer) {
   for (const Tuple& row : to_remove) {
     (void)kb->Retract(kQuarantineRelation, row);
   }
+}
+
+/// Chains the transducer's name onto a dependency error but keeps the
+/// underlying code (a parse error stays kParseError, an evaluation bug
+/// stays kInternal) so callers can dispatch on it.
+Status DependencyError(const Transducer& transducer, const Status& error) {
+  return Status(error.code(), "input dependency of " + transducer.name() +
+                                  " failed to evaluate: " + error.message());
 }
 
 }  // namespace
@@ -160,40 +169,91 @@ Status NetworkTransducer::SyncControlFactsIfStale(KnowledgeBase* kb) {
   }
   VADA_RETURN_IF_ERROR(SyncControlFacts(kb));
   // Record the post-sync version: if the sync itself bumped it, the
-  // sys_* relations already reflect the (unchanged) non-sys state.
-  control_synced_at_version_ = kb->global_version();
+  // sys_* relations already reflect the (unchanged) non-sys state. Not
+  // under a WriteGuard, whose rollback rewinds the version counter.
+  control_synced_at_version_ = kb->HasActiveGuard() ? 0 : kb->global_version();
   return Status::OK();
 }
 
-Result<const datalog::Program*> NetworkTransducer::ParsedDependency(
+Result<NetworkTransducer::Dependency*> NetworkTransducer::ParsedDependency(
     const std::string& source) {
   auto it = parsed_deps_.find(source);
   if (it == parsed_deps_.end()) {
     Result<datalog::Program> program = datalog::Parser::Parse(source);
     if (!program.ok()) return program.status();
-    it = parsed_deps_.emplace(source, std::move(program).value()).first;
+    Dependency dep;
+    dep.program = std::move(program).value();
+    dep.reads = datalog::ReferencedRelations(dep.program);
+    it = parsed_deps_.emplace(source, std::move(dep)).first;
   }
   return &it->second;
+}
+
+bool NetworkTransducer::Dependency::Fresh(const KnowledgeBase& kb) const {
+  if (!ready.has_value()) return false;
+  for (size_t i = 0; i < reads.size(); ++i) {
+    if (kb.relation_version(reads[i]) != versions[i]) return false;
+  }
+  return true;
+}
+
+NetworkTransducer::Answer NetworkTransducer::EvaluateDependency(
+    const Dependency& dep, const KnowledgeBase& kb) const {
+  datalog::EvalOptions eval_options;
+  eval_options.planner = options_.planner;
+  eval_options.metrics =
+      options_.obs != nullptr ? options_.obs->metrics() : nullptr;
+  obs::Histogram* dep_check_hist =
+      eval_options.metrics == nullptr
+          ? nullptr
+          : eval_options.metrics->GetHistogram(
+                "vada_orchestrator_dependency_check_seconds",
+                "One input-dependency Datalog query",
+                obs::Histogram::DefaultLatencyBucketsSeconds());
+  // SpanCollector is thread-safe (per-thread lanes), so pool workers
+  // record real spans — each worker lands on its own Chrome-trace tid
+  // instead of interleaving on one.
+  obs::ScopedSpan dep_span(
+      options_.obs != nullptr ? options_.obs->spans() : nullptr,
+      dep_check_hist, "dep_check", "orchestrator");
+  Answer answer;
+  for (const std::string& name : dep.reads) {
+    answer.versions.push_back(kb.relation_version(name));
+  }
+  Result<std::vector<Tuple>> ready = datalog::QueryKnowledgeBase(
+      dep.program, kb, "ready", eval_options, options_.snapshot_cache);
+  answer.ready = ready.ok() ? Result<bool>(!ready.value().empty())
+                            : Result<bool>(ready.status());
+  return answer;
+}
+
+Result<bool> NetworkTransducer::Memoize(Dependency* dep,
+                                        const KnowledgeBase& kb,
+                                        Answer answer) {
+  if (answer.ready.ok() && !kb.HasActiveGuard()) {
+    dep->versions = std::move(answer.versions);
+    dep->ready = answer.ready.value();
+  }
+  return answer.ready;
+}
+
+Result<bool> NetworkTransducer::CheckDependency(Dependency* dep,
+                                                const KnowledgeBase& kb,
+                                                bool* hit) {
+  *hit = dep->Fresh(kb);
+  if (*hit) return *dep->ready;
+  return Memoize(dep, kb, EvaluateDependency(*dep, kb));
 }
 
 Result<bool> NetworkTransducer::IsSatisfied(const Transducer& transducer,
                                             KnowledgeBase* kb) {
   VADA_RETURN_IF_ERROR(SyncControlFactsIfStale(kb));
-  Result<const datalog::Program*> program =
-      ParsedDependency(transducer.input_dependency());
-  Result<std::vector<Tuple>> ready =
-      program.ok()
-          ? datalog::QueryKnowledgeBase(*program.value(), *kb, "ready")
-          : program.status();
-  if (!ready.ok()) {
-    // Chain the message but keep the underlying code (a parse error stays
-    // kParseError, an evaluation bug stays kInternal) so callers can
-    // dispatch on it.
-    return Status(ready.status().code(),
-                  "input dependency of " + transducer.name() +
-                      " failed to evaluate: " + ready.status().message());
-  }
-  return !ready.value().empty();
+  Result<Dependency*> dep = ParsedDependency(transducer.input_dependency());
+  if (!dep.ok()) return DependencyError(transducer, dep.status());
+  bool hit = false;
+  Result<bool> ready = CheckDependency(dep.value(), *kb, &hit);
+  if (!ready.ok()) return DependencyError(transducer, ready.status());
+  return ready;
 }
 
 std::vector<std::string> NetworkTransducer::QuarantinedTransducers() const {
@@ -305,26 +365,24 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
   obs::Counter* steps_counter = nullptr;
   obs::Counter* effective_counter = nullptr;
   obs::Counter* dep_checks_counter = nullptr;
+  obs::Counter* memo_hits_counter = nullptr;
   obs::Histogram* eligibility_hist = nullptr;
-  obs::Histogram* dep_check_hist = nullptr;
   obs::Histogram* rollback_hist = nullptr;
   obs::Histogram* scan_speedup_hist = nullptr;
-  datalog::EvalOptions eval_options;
-  eval_options.planner = options_.planner;
   if (m != nullptr) {
     steps_counter =
         m->GetCounter("vada_orchestrator_steps", "Transducer executions");
     effective_counter = m->GetCounter("vada_orchestrator_effective_steps",
                                       "Executions that changed the KB");
-    dep_checks_counter = m->GetCounter("vada_orchestrator_dependency_checks",
-                                       "Input-dependency query evaluations");
+    dep_checks_counter = m->GetCounter(
+        "vada_orchestrator_dependency_checks",
+        "Input dependencies consulted by eligibility scans");
+    memo_hits_counter = m->GetCounter(
+        "vada_orchestrator_dependency_memo_hits",
+        "Dependency checks answered from the memo without evaluation");
     eligibility_hist = m->GetHistogram(
         "vada_orchestrator_eligibility_seconds",
         "Per-step control-fact sync plus eligibility scan",
-        obs::Histogram::DefaultLatencyBucketsSeconds());
-    dep_check_hist = m->GetHistogram(
-        "vada_orchestrator_dependency_check_seconds",
-        "One input-dependency Datalog query",
         obs::Histogram::DefaultLatencyBucketsSeconds());
     rollback_hist =
         m->GetHistogram("vada_kb_rollback_seconds",
@@ -335,7 +393,6 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
         "Parallel eligibility-scan speedup: sum of per-query wall times "
         "divided by the parallel phase's wall time (1.0 = no benefit)",
         {0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0});
-    eval_options.metrics = m;
   }
   ThreadPool* pool =
       (options_.pool != nullptr && options_.pool->workers() > 0)
@@ -435,40 +492,31 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
         candidates.push_back(t.get());
       }
 
-      // Phase 2 (parallel mode only): evaluate every candidate's query
-      // up front on the pool. The KB is not mutated until the chosen
-      // transducer executes, and snapshot-cache lookups are thread-safe,
-      // so the queries are independent pure reads.
-      std::vector<Result<std::vector<Tuple>>> ready(
-          candidates.size(),
-          Result<std::vector<Tuple>>(Status::Internal("not evaluated")));
-      // Dependency texts parse at most once per Run sequence; resolve
-      // them up front (sequentially — the cache is not thread-safe).
-      std::vector<Result<const datalog::Program*>> programs;
-      programs.reserve(candidates.size());
-      for (Transducer* t : candidates) {
-        programs.push_back(ParsedDependency(t->input_dependency()));
+      // Phase 2: find the memo misses (never answered, or a read relation
+      // moved since), once per dependency text. With a pool and more than
+      // one miss, evaluate them up front concurrently: the KB is not
+      // mutated until the chosen transducer executes, and snapshot-cache
+      // lookups are thread-safe, so the queries are independent pure reads.
+      std::vector<Result<Dependency*>> deps;
+      std::vector<size_t> misses;
+      std::set<const Dependency*> queued;  // candidates may share a text
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        deps.push_back(ParsedDependency(candidates[i]->input_dependency()));
+        if (deps[i].ok() && !deps[i].value()->Fresh(*kb) &&
+            queued.insert(deps[i].value()).second) {
+          misses.push_back(i);
+        }
       }
-      auto eval_dep = [&](size_t i) {
-        // SpanCollector is thread-safe (per-thread lanes), so pool
-        // workers record real spans — each worker lands on its own
-        // Chrome-trace tid instead of interleaving on one.
-        obs::ScopedSpan dep_span(spans, dep_check_hist, "dep_check",
-                                 "orchestrator");
-        ready[i] = programs[i].ok()
-                       ? datalog::QueryKnowledgeBase(*programs[i].value(), *kb,
-                                                     "ready", eval_options,
-                                                     cache)
-                       : programs[i].status();
-      };
-      const bool parallel_scan = pool != nullptr && candidates.size() > 1;
+      const bool parallel_scan = pool != nullptr && misses.size() > 1;
+      std::vector<std::optional<Answer>> prefetched(candidates.size());
       if (parallel_scan) {
-        std::vector<uint64_t> query_ns(candidates.size(), 0);
+        std::vector<uint64_t> query_ns(misses.size(), 0);
         uint64_t wall0 = obs::MonotonicNanos();
-        pool->ParallelFor(candidates.size(), [&](size_t i) {
+        pool->ParallelFor(misses.size(), [&](size_t j) {
+          const size_t i = misses[j];
           uint64_t q0 = obs::MonotonicNanos();
-          eval_dep(i);
-          query_ns[i] = obs::MonotonicNanos() - q0;
+          prefetched[i] = EvaluateDependency(*deps[i].value(), *kb);
+          query_ns[j] = obs::MonotonicNanos() - q0;
         });
         uint64_t wall = obs::MonotonicNanos() - wall0;
         if (scan_speedup_hist != nullptr && wall > 0) {
@@ -479,20 +527,31 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
         }
       }
 
-      // Phase 3: consume results in registration order. Counters are
-      // incremented here, not at evaluation, so an abort on a failed
-      // dependency reports the same dependency_checks as the inline
-      // path, which never evaluates past the failure.
+      // Phase 3: consume answers in registration order, memoizing OK
+      // ones. Counters are incremented here, not at evaluation, so an
+      // abort on a failed dependency reports the same dependency_checks
+      // as the inline path, which never evaluates past the failure.
+      // Dependencies not prefetched are checked here, against the KB as
+      // it stands after any failure facts recorded earlier in this loop.
       for (size_t i = 0; i < candidates.size(); ++i) {
         Transducer* t = candidates[i];
         ++st->dependency_checks;
         if (dep_checks_counter != nullptr) dep_checks_counter->Increment();
-        if (!parallel_scan) eval_dep(i);
-        if (!ready[i].ok()) {
-          Status dep_error(ready[i].status().code(),
-                           "input dependency of " + t->name() +
-                               " failed to evaluate: " +
-                               ready[i].status().message());
+        Result<bool> ready = Status::Internal("not evaluated");
+        if (!deps[i].ok()) {
+          ready = deps[i].status();
+        } else if (prefetched[i].has_value()) {
+          ready = Memoize(deps[i].value(), *kb, std::move(*prefetched[i]));
+        } else {
+          bool hit = false;
+          ready = CheckDependency(deps[i].value(), *kb, &hit);
+          if (hit) {
+            ++st->dependency_memo_hits;
+            if (memo_hits_counter != nullptr) memo_hits_counter->Increment();
+          }
+        }
+        if (!ready.ok()) {
+          Status dep_error = DependencyError(*t, ready.status());
           if (!fp.enabled ||
               fp.on_failure_exhausted == FailureAction::kAbort) {
             return finalize(dep_error);
@@ -504,7 +563,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
           last_run_version_[t->name()] = kb->global_version();
           continue;
         }
-        if (!ready[i].value().empty()) eligible.push_back(t);
+        if (ready.value()) eligible.push_back(t);
       }
     }
     if (eligible.empty()) {

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,10 +89,11 @@ struct OrchestratorOptions {
   /// the scan runs inline exactly as before (the threads=1 escape hatch).
   ThreadPool* pool = nullptr;
   /// Version-keyed relation-snapshot cache shared by the scan's
-  /// dependency queries (not owned). Dramatically cuts per-scan relation
-  /// copying: only relations whose version moved since the previous scan
-  /// are re-snapshotted. Null: every query copies what it reads, as
-  /// before. Works with or without `pool`.
+  /// dependency queries (not owned). It only affects dependency-memo
+  /// misses (a memo hit loads nothing): such an evaluation borrows the
+  /// relations it reads instead of copying them, re-snapshotting only
+  /// those whose version moved. Null: every evaluation copies what it
+  /// reads. Works with or without `pool`.
   datalog::SnapshotCache* snapshot_cache = nullptr;
   /// Join planning of the scan's dependency queries (composite index
   /// probing, cost-based literal reordering; see datalog/planner.h).
@@ -102,7 +104,8 @@ struct OrchestratorOptions {
 struct OrchestrationStats {
   size_t steps = 0;
   size_t effective_steps = 0;   ///< steps that changed the KB
-  size_t dependency_checks = 0; ///< input-dependency query evaluations
+  size_t dependency_checks = 0; ///< input dependencies the scans consulted
+  size_t dependency_memo_hits = 0; ///< ...of which answered from the memo
   size_t failures = 0;          ///< steps whose every attempt failed
   size_t retries = 0;           ///< extra Execute() attempts after a failure
   size_t rollbacks = 0;         ///< write-guard rollbacks performed
@@ -157,8 +160,9 @@ class NetworkTransducer {
   /// steps re-enter Run after the user adds context/feedback).
   Status Run(KnowledgeBase* kb, OrchestrationStats* stats = nullptr);
 
-  /// Evaluates one transducer's input dependency against `kb` (with
-  /// control relations refreshed); exposed for Table 1 benches/tests.
+  /// Answers one transducer's input dependency against `kb` (with
+  /// control relations refreshed) through the same memoized evaluation
+  /// the eligibility scan uses; exposed for Table 1 benches/tests.
   Result<bool> IsSatisfied(const Transducer& transducer, KnowledgeBase* kb);
 
   const ExecutionTrace& trace() const { return trace_; }
@@ -172,7 +176,8 @@ class NetworkTransducer {
   /// since this instance's previous sync. Sound because the sys_*
   /// relations are a pure function of the non-sys relations, and every
   /// role change in the codebase rides on a relation mutation (which
-  /// bumps the global version).
+  /// bumps the global version). A sync under an active WriteGuard is not
+  /// remembered: its rollback hands the version out again.
   Status SyncControlFactsIfStale(KnowledgeBase* kb);
 
   /// Names of transducers whose circuit is currently open, sorted.
@@ -196,11 +201,46 @@ class NetworkTransducer {
   size_t OpenCircuits() const;
   void PublishQuarantineGauge(obs::MetricsRegistry* metrics) const;
 
-  /// Returns the parsed form of a dependency-query text, parsing it at
-  /// most once per distinct text (dependency texts are fixed at
-  /// transducer construction, and eligibility scans re-evaluate each of
-  /// them every step).
-  Result<const datalog::Program*> ParsedDependency(const std::string& source);
+  /// A parsed input-dependency program and its memoized answer, valid
+  /// while every relation in `reads` is at the recorded version (the
+  /// snapshot cache's keying invariant, DESIGN.md §5e). Like
+  /// last_run_version_, the memo assumes one KB per orchestrator.
+  struct Dependency {
+    datalog::Program program;
+    std::vector<std::string> reads;  ///< datalog::ReferencedRelations
+    std::vector<uint64_t> versions;  ///< of `reads`, when `ready` was set
+    std::optional<bool> ready;       ///< nullopt: nothing memoized yet
+
+    /// Whether `ready` is memoized and none of `reads` moved since.
+    bool Fresh(const KnowledgeBase& kb) const;
+  };
+
+  /// Returns the dependency of a query text, parsing it at most once per
+  /// distinct text (dependency texts are fixed at transducer
+  /// construction, and eligibility scans consult each of them every
+  /// step). Parse errors are returned afresh on every call.
+  Result<Dependency*> ParsedDependency(const std::string& source);
+
+  /// One evaluation of a dependency and the read versions it saw.
+  struct Answer {
+    Result<bool> ready = Status::Internal("not evaluated");
+    std::vector<uint64_t> versions;
+  };
+
+  /// Evaluates `dep` over `kb`; a pure read, safe on pool workers.
+  Answer EvaluateDependency(const Dependency& dep,
+                            const KnowledgeBase& kb) const;
+
+  /// Answers `dep` from its memo when none of its reads moved (sets
+  /// `*hit`), else evaluates it and memoizes an OK answer.
+  Result<bool> CheckDependency(Dependency* dep, const KnowledgeBase& kb,
+                               bool* hit);
+
+  /// Records `answer` as `dep`'s memo when it is OK and no WriteGuard is
+  /// active (a rollback may hand out the versions it saw again); returns
+  /// its result either way.
+  static Result<bool> Memoize(Dependency* dep, const KnowledgeBase& kb,
+                              Answer answer);
 
   TransducerRegistry* registry_;  // not owned
   std::unique_ptr<SchedulingPolicy> policy_;
@@ -208,7 +248,7 @@ class NetworkTransducer {
   ExecutionTrace trace_;
   std::map<std::string, uint64_t> last_run_version_;
   std::map<std::string, FailureState> failure_state_;
-  std::map<std::string, datalog::Program> parsed_deps_;
+  std::map<std::string, Dependency> parsed_deps_;
   uint64_t control_synced_at_version_ = 0;
   size_t next_step_ = 0;
   /// High-water mark of options_.pool->tasks_executed() already published

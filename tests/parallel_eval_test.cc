@@ -179,6 +179,7 @@ struct ChainRun {
   std::vector<std::string> executed;
   std::vector<std::vector<std::string>> eligible;
   size_t dependency_checks = 0;
+  size_t dependency_memo_hits = 0;
   std::vector<Tuple> c_rows;
 };
 
@@ -209,12 +210,16 @@ ChainRun RunChain(ThreadPool* pool, SnapshotCache* cache) {
                       "ready() :- sys_relation_nonempty(\"b\").",
                       copy_step("b", "c")))
                   .ok());
-  EXPECT_TRUE(registry
-                  .Add(std::make_unique<FunctionTransducer>(
-                      "noop", "map",
-                      "ready() :- sys_relation_nonempty(\"missing\").",
-                      copy_step("a", "unused")))
-                  .ok());
+  // Two never-ready transducers sharing one dependency text: the second
+  // is answered from the memo entry the first one fills.
+  for (const char* name : {"noop", "noop_twin"}) {
+    EXPECT_TRUE(registry
+                    .Add(std::make_unique<FunctionTransducer>(
+                        name, "map",
+                        "ready() :- sys_relation_nonempty(\"missing\").",
+                        copy_step("a", "unused")))
+                    .ok());
+  }
 
   OrchestratorOptions options;
   options.pool = pool;
@@ -226,6 +231,7 @@ ChainRun RunChain(ThreadPool* pool, SnapshotCache* cache) {
 
   ChainRun run;
   run.dependency_checks = stats.dependency_checks;
+  run.dependency_memo_hits = stats.dependency_memo_hits;
   for (const TraceEvent& e : orchestrator.trace().events()) {
     run.executed.push_back(e.transducer);
     run.eligible.push_back(e.eligible);
@@ -244,6 +250,11 @@ TEST(ParallelEvalTest, OrchestratorScanIdenticalWithPoolAndCache) {
   EXPECT_EQ(sequential.executed, parallel.executed);
   EXPECT_EQ(sequential.eligible, parallel.eligible);
   EXPECT_EQ(sequential.dependency_checks, parallel.dependency_checks);
+  // Memo hits are part of the parity: the pool evaluates only the misses
+  // and phase 3 answers the rest exactly as the inline scan does.
+  EXPECT_GT(sequential.dependency_memo_hits, 0u);
+  EXPECT_LT(sequential.dependency_memo_hits, sequential.dependency_checks);
+  EXPECT_EQ(sequential.dependency_memo_hits, parallel.dependency_memo_hits);
   EXPECT_EQ(sequential.c_rows, parallel.c_rows);
   // The cache did real work: repeated scans of sys_* control relations
   // and the chain's inputs hit after the first miss.
