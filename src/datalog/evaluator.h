@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "datalog/ast.h"
 #include "datalog/database.h"
 #include "datalog/planner.h"
@@ -23,8 +22,7 @@ struct EvalOptions {
   /// kept as the paper-ablation baseline (bench E9) and as an oracle for
   /// differential testing. Semi-naive rounds have batch semantics: every
   /// rule of a round is evaluated against the round-start database and
-  /// results are merged in rule order, which is what makes parallel and
-  /// sequential evaluation bit-identical (DESIGN.md §5e).
+  /// results are merged in rule order (DESIGN.md §5e).
   bool semi_naive = true;
   /// Hard cap on fixpoint iterations per stratum (safety valve; Datalog
   /// always terminates, so hitting this indicates an engine bug).
@@ -33,16 +31,6 @@ struct EvalOptions {
   /// (rules fired, facts derived, join probes, per-stratum time) into
   /// this registry. Null: no instrumentation beyond EvalStats.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional worker pool (not owned). When set, the rules of each
-  /// semi-naive round are evaluated concurrently and large rules are
-  /// additionally split into outer-candidate range chunks. Results are
-  /// merged in fixed task order, so derived facts, their order, and
-  /// EvalStats are identical to a nullptr-pool run. Null: evaluate
-  /// inline on the calling thread.
-  ThreadPool* pool = nullptr;
-  /// Minimum number of outer-literal candidates before one rule
-  /// evaluation is split into parallel range chunks (only with `pool`).
-  size_t parallel_chunk_threshold = 1024;
   /// Join planning: composite hash-index probing and cost-based literal
   /// reordering (DESIGN.md §5f). Defaults on; `{.indexes = false,
   /// .reorder = false}` is the full-scan, legacy-order reference oracle

@@ -33,12 +33,8 @@ std::vector<std::string> ReferencedRelations(const Program& program) {
 }
 
 void LoadReferencedRelations(const Program& program, const KnowledgeBase& kb,
-                             Database* db, SnapshotCache* cache) {
+                             Database* db) {
   for (const std::string& pred : ReferencedRelations(program)) {
-    if (cache != nullptr) {
-      db->AttachShared(cache->Get(kb, pred));
-      continue;
-    }
     const Relation* rel = kb.FindRelation(pred);
     if (rel != nullptr) db->LoadRelation(*rel);
   }
@@ -46,21 +42,18 @@ void LoadReferencedRelations(const Program& program, const KnowledgeBase& kb,
 
 Result<std::vector<Tuple>> QueryKnowledgeBase(
     const Program& program, const KnowledgeBase& kb,
-    const std::string& goal_predicate, const EvalOptions& options,
-    SnapshotCache* cache) {
+    const std::string& goal_predicate, const EvalOptions& options) {
   Database db;
-  LoadReferencedRelations(program, kb, &db, cache);
+  LoadReferencedRelations(program, kb, &db);
   return Query(program, &db, goal_predicate, options);
 }
 
 Result<std::vector<Tuple>> QueryKnowledgeBase(
     const std::string& source, const KnowledgeBase& kb,
-    const std::string& goal_predicate, const EvalOptions& options,
-    SnapshotCache* cache) {
+    const std::string& goal_predicate, const EvalOptions& options) {
   Result<Program> program = Parser::Parse(source);
   if (!program.ok()) return program.status();
-  return QueryKnowledgeBase(program.value(), kb, goal_predicate, options,
-                            cache);
+  return QueryKnowledgeBase(program.value(), kb, goal_predicate, options);
 }
 
 }  // namespace vada::datalog

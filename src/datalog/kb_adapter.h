@@ -8,7 +8,6 @@
 #include "datalog/ast.h"
 #include "datalog/database.h"
 #include "datalog/evaluator.h"
-#include "datalog/snapshot_cache.h"
 #include "kb/knowledge_base.h"
 
 namespace vada::datalog {
@@ -29,24 +28,17 @@ std::vector<std::string> ReferencedRelations(const Program& program);
 /// Loads exactly ReferencedRelations(program) into `db`. Dependency
 /// checks and Vadalog transducers run hundreds of times per wrangle, so
 /// each evaluation stays proportional to the data it touches instead of
-/// the whole knowledge base. With a non-null `cache`, relations are
-/// borrowed as shared version-keyed snapshots (see SnapshotCache) —
-/// zero copying when the relation has not changed since the last scan —
-/// instead of row-by-row copies into `db`.
+/// the whole knowledge base.
 void LoadReferencedRelations(const Program& program, const KnowledgeBase& kb,
-                             Database* db, SnapshotCache* cache = nullptr);
+                             Database* db);
 
 /// Evaluates `program` over a snapshot of `kb` and returns the derived
 /// facts for `goal_predicate`, sorted. This is the primitive behind
 /// transducer input-dependency checks and Vadalog-specified mappings.
-/// `cache`, when non-null, supplies shared relation snapshots (safe to
-/// share across concurrent queries; the KB must not be mutated while
-/// queries run).
 Result<std::vector<Tuple>> QueryKnowledgeBase(
     const Program& program, const KnowledgeBase& kb,
     const std::string& goal_predicate,
-    const EvalOptions& options = EvalOptions(),
-    SnapshotCache* cache = nullptr);
+    const EvalOptions& options = EvalOptions());
 
 /// Parses `source`, then QueryKnowledgeBase. Convenience used by the
 /// orchestrator, where dependency queries live as text in transducer
@@ -55,8 +47,7 @@ Result<std::vector<Tuple>> QueryKnowledgeBase(
 Result<std::vector<Tuple>> QueryKnowledgeBase(
     const std::string& source, const KnowledgeBase& kb,
     const std::string& goal_predicate,
-    const EvalOptions& options = EvalOptions(),
-    SnapshotCache* cache = nullptr);
+    const EvalOptions& options = EvalOptions());
 
 }  // namespace vada::datalog
 

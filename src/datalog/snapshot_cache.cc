@@ -12,20 +12,18 @@ std::shared_ptr<const Database> SnapshotCache::Get(const KnowledgeBase& kb,
     auto it = entries_.find(name);
     if (it != entries_.end() && it->second.version == version) {
       ++stats_.hits;
-      if (hits_counter_ != nullptr) hits_counter_->Increment();
       return it->second.snapshot;
     }
   }
 
   // Miss: build outside the lock so a large copy does not serialize
-  // concurrent lookups of other relations. Two workers racing on the
-  // same relation build identical snapshots (the KB is not mutated
-  // while scans run); last insert wins.
+  // concurrent lookups of other relations. Two callers racing on the
+  // same relation build identical snapshots (the KB must not be mutated
+  // concurrently with Get); last insert wins.
   const Relation* rel = kb.FindRelation(name);
   if (rel == nullptr) {
     MutexLock lock(mutex_);
     ++stats_.misses;
-    if (misses_counter_ != nullptr) misses_counter_->Increment();
     return nullptr;
   }
   auto snapshot = std::make_shared<Database>();
@@ -33,20 +31,8 @@ std::shared_ptr<const Database> SnapshotCache::Get(const KnowledgeBase& kb,
 
   MutexLock lock(mutex_);
   ++stats_.misses;
-  if (misses_counter_ != nullptr) misses_counter_->Increment();
   entries_[name] = Entry{version, snapshot};
   return snapshot;
-}
-
-void SnapshotCache::Invalidate(const std::string& name) {
-  MutexLock lock(mutex_);
-  if (entries_.erase(name) > 0) ++stats_.invalidations;
-}
-
-void SnapshotCache::Clear() {
-  MutexLock lock(mutex_);
-  stats_.invalidations += entries_.size();
-  entries_.clear();
 }
 
 size_t SnapshotCache::size() const {
@@ -66,12 +52,6 @@ size_t SnapshotCache::ApproxIndexBytes() const {
 SnapshotCache::Stats SnapshotCache::stats() const {
   MutexLock lock(mutex_);
   return stats_;
-}
-
-void SnapshotCache::SetCounters(obs::Counter* hits, obs::Counter* misses) {
-  MutexLock lock(mutex_);
-  hits_counter_ = hits;
-  misses_counter_ = misses;
 }
 
 }  // namespace vada::datalog

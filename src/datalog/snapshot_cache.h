@@ -11,19 +11,18 @@
 #include "common/thread_annotations.h"
 #include "datalog/database.h"
 #include "kb/knowledge_base.h"
-#include "obs/metrics.h"
 
 namespace vada::datalog {
 
 /// Version-keyed cache of per-relation `Database` snapshots.
 ///
-/// Every orchestration step re-runs the dependency queries of every
-/// candidate transducer, and each query snapshots the relations it
-/// reads out of the knowledge base. Between steps only the relations a
-/// transducer just wrote actually change, so most of that copying is
-/// redundant — this cache keeps one immutable single-relation snapshot
-/// per relation, keyed by the KB's per-relation version counter, and
-/// rebuilds an entry only when its version moved.
+/// Mapping execution re-runs every mapping on every pass, and each run
+/// reads its source relations out of the knowledge base. Between passes
+/// only the relations a transducer just wrote actually change, so most
+/// of that copying is redundant — this cache keeps one immutable
+/// single-relation snapshot per relation, keyed by the KB's per-relation
+/// version counter, and rebuilds an entry only when its version moved
+/// (WranglingState::mapping_source_cache).
 ///
 /// Keying invariant: a cached snapshot for (name, v) is byte-equivalent
 /// to the relation's contents whenever `kb.relation_version(name) == v`.
@@ -31,24 +30,21 @@ namespace vada::datalog {
 /// version, versions are allocated from the global counter (so a
 /// dropped-and-recreated relation can never reuse an old version), and
 /// `WriteGuard::Rollback` restores contents and version counters
-/// together. Callers that roll back should still call `Invalidate` on
-/// the touched relations — it is free, and it keeps the cache correct
-/// even if a future mutation path forgets to bump.
+/// together.
 ///
 /// Composite join indexes (Database::EnsureBoundIndex) live on the
 /// snapshot databases themselves, so every evaluation borrowing one
 /// snapshot shares one lazily built index; dropping or rebuilding a
 /// snapshot drops its indexes with it.
 ///
-/// Thread-safe: `Get` may be called concurrently from pool workers
-/// (eligibility scans share one cache); snapshots are returned as
-/// `shared_ptr<const Database>` and are immutable after construction.
+/// Thread-safe: `Get` may be called concurrently; snapshots are
+/// returned as `shared_ptr<const Database>` and are immutable after
+/// construction.
 class SnapshotCache {
  public:
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t invalidations = 0;
   };
 
   SnapshotCache() = default;
@@ -60,12 +56,6 @@ class SnapshotCache {
   std::shared_ptr<const Database> Get(const KnowledgeBase& kb,
                                       const std::string& name);
 
-  /// Drops the cached snapshot for `name`, if any.
-  void Invalidate(const std::string& name);
-
-  /// Drops every cached snapshot.
-  void Clear();
-
   /// Number of relations currently cached.
   size_t size() const;
 
@@ -76,11 +66,6 @@ class SnapshotCache {
 
   Stats stats() const;
 
-  /// Optional observability hookup: when set, hits and misses are also
-  /// counted on these metrics (`vada_snapshot_cache_{hits,misses}_total`).
-  /// Either pointer may be null. Not owned.
-  void SetCounters(obs::Counter* hits, obs::Counter* misses);
-
  private:
   struct Entry {
     uint64_t version = 0;
@@ -90,8 +75,6 @@ class SnapshotCache {
   mutable Mutex mutex_;
   std::map<std::string, Entry> entries_ VADA_GUARDED_BY(mutex_);
   Stats stats_ VADA_GUARDED_BY(mutex_);
-  obs::Counter* hits_counter_ VADA_GUARDED_BY(mutex_) = nullptr;
-  obs::Counter* misses_counter_ VADA_GUARDED_BY(mutex_) = nullptr;
 };
 
 }  // namespace vada::datalog

@@ -156,8 +156,7 @@ struct WalOptions {
 };
 
 /// Appender. Not thread-safe: the KB it logs for is itself confined to
-/// one mutating thread (parallel evaluation mutates scratch databases,
-/// never the KB directly).
+/// one mutating thread.
 class WalWriter {
  public:
   /// Opens a fresh segment with sequence number `first_segment` (which

@@ -30,8 +30,8 @@ class ChromeTraceBuilder {
 
   /// Adds every finished span from `collector`. Spans recorded by the
   /// collector's first thread (lane 0) land on `tid`; each further
-  /// recording thread (pool workers) gets its own consecutive tid, so
-  /// concurrent worker spans never interleave on one trace lane.
+  /// recording thread gets its own consecutive tid, so concurrent spans
+  /// never interleave on one trace lane.
   void AddSpans(const SpanCollector& collector, int tid = 2);
 
   size_t size() const { return events_.size(); }

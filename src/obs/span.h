@@ -27,8 +27,8 @@ inline uint64_t MonotonicNanos() {
 /// thread*; lane is a small dense id for the recording thread (0 for the
 /// first thread that opened a span on the collector, usually the session
 /// thread). Chrome trace viewers reconstruct per-lane trees from nested
-/// [start, end) intervals, so spans from concurrent pool workers must
-/// not share a lane — that is exactly what lane separates.
+/// [start, end) intervals, so spans from concurrent threads must not
+/// share a lane — that is exactly what lane separates.
 struct SpanRecord {
   std::string name;
   std::string category;
@@ -40,7 +40,7 @@ struct SpanRecord {
 
 /// Collects finished spans for one session. Fully thread-safe: appends
 /// take the mutex, and scope (depth/lane) bookkeeping is per-thread, so
-/// pool workers can record concurrently with the session thread without
+/// other threads can record concurrently with the session thread without
 /// corrupting each other's nesting.
 class SpanCollector {
  public:

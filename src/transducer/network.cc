@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <set>
 #include <thread>
 
 #include "common/logging.h"
@@ -197,8 +196,11 @@ bool NetworkTransducer::Dependency::Fresh(const KnowledgeBase& kb) const {
   return true;
 }
 
-NetworkTransducer::Answer NetworkTransducer::EvaluateDependency(
-    const Dependency& dep, const KnowledgeBase& kb) const {
+Result<bool> NetworkTransducer::CheckDependency(Dependency* dep,
+                                                const KnowledgeBase& kb,
+                                                bool* hit) {
+  *hit = dep->Fresh(kb);
+  if (*hit) return *dep->ready;
   datalog::EvalOptions eval_options;
   eval_options.planner = options_.planner;
   eval_options.metrics =
@@ -210,39 +212,22 @@ NetworkTransducer::Answer NetworkTransducer::EvaluateDependency(
                 "vada_orchestrator_dependency_check_seconds",
                 "One input-dependency Datalog query",
                 obs::Histogram::DefaultLatencyBucketsSeconds());
-  // SpanCollector is thread-safe (per-thread lanes), so pool workers
-  // record real spans — each worker lands on its own Chrome-trace tid
-  // instead of interleaving on one.
   obs::ScopedSpan dep_span(
       options_.obs != nullptr ? options_.obs->spans() : nullptr,
       dep_check_hist, "dep_check", "orchestrator");
-  Answer answer;
-  for (const std::string& name : dep.reads) {
-    answer.versions.push_back(kb.relation_version(name));
+  std::vector<uint64_t> versions;
+  for (const std::string& name : dep->reads) {
+    versions.push_back(kb.relation_version(name));
   }
-  Result<std::vector<Tuple>> ready = datalog::QueryKnowledgeBase(
-      dep.program, kb, "ready", eval_options, options_.snapshot_cache);
-  answer.ready = ready.ok() ? Result<bool>(!ready.value().empty())
-                            : Result<bool>(ready.status());
-  return answer;
-}
-
-Result<bool> NetworkTransducer::Memoize(Dependency* dep,
-                                        const KnowledgeBase& kb,
-                                        Answer answer) {
-  if (answer.ready.ok() && !kb.HasActiveGuard()) {
-    dep->versions = std::move(answer.versions);
-    dep->ready = answer.ready.value();
+  Result<std::vector<Tuple>> answer =
+      datalog::QueryKnowledgeBase(dep->program, kb, "ready", eval_options);
+  if (!answer.ok()) return answer.status();
+  const bool ready = !answer.value().empty();
+  if (!kb.HasActiveGuard()) {
+    dep->versions = std::move(versions);
+    dep->ready = ready;
   }
-  return answer.ready;
-}
-
-Result<bool> NetworkTransducer::CheckDependency(Dependency* dep,
-                                                const KnowledgeBase& kb,
-                                                bool* hit) {
-  *hit = dep->Fresh(kb);
-  if (*hit) return *dep->ready;
-  return Memoize(dep, kb, EvaluateDependency(*dep, kb));
+  return ready;
 }
 
 Result<bool> NetworkTransducer::IsSatisfied(const Transducer& transducer,
@@ -368,7 +353,6 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
   obs::Counter* memo_hits_counter = nullptr;
   obs::Histogram* eligibility_hist = nullptr;
   obs::Histogram* rollback_hist = nullptr;
-  obs::Histogram* scan_speedup_hist = nullptr;
   if (m != nullptr) {
     steps_counter =
         m->GetCounter("vada_orchestrator_steps", "Transducer executions");
@@ -388,17 +372,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
         m->GetHistogram("vada_kb_rollback_seconds",
                         "WriteGuard rollback of one failed Execute()",
                         obs::Histogram::DefaultLatencyBucketsSeconds());
-    scan_speedup_hist = m->GetHistogram(
-        "vada_orchestrator_scan_speedup",
-        "Parallel eligibility-scan speedup: sum of per-query wall times "
-        "divided by the parallel phase's wall time (1.0 = no benefit)",
-        {0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0});
   }
-  ThreadPool* pool =
-      (options_.pool != nullptr && options_.pool->workers() > 0)
-          ? options_.pool
-          : nullptr;
-  datalog::SnapshotCache* cache = options_.snapshot_cache;
 
   // Fixpoint probes are a per-Run budget (a new Run is new information:
   // the user added context or feedback, so benched transducers deserve
@@ -409,17 +383,6 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
   auto finalize = [&](Status status) {
     st->quarantined = OpenCircuits();
     PublishQuarantineGauge(m);
-    if (m != nullptr && options_.pool != nullptr) {
-      // Published as a delta against the pool's lifetime counter, so a
-      // pool shared across sessions or Run() calls is never re-counted.
-      uint64_t total = options_.pool->tasks_executed();
-      if (total > pool_tasks_published_) {
-        m->GetCounter("vada_pool_tasks_total",
-                      "Tasks executed on the shared worker pool")
-            ->Increment(total - pool_tasks_published_);
-        pool_tasks_published_ = total;
-      }
-    }
     return status;
   };
 
@@ -444,20 +407,18 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
     }
 
     // Eligibility: dependency satisfied AND the KB moved since last run
-    // AND not quarantined (open circuits sit out their cooldown). Three
-    // phases so the dependency queries — the expensive, read-only part —
-    // can run on the pool: (1) sequential gating, which mutates circuit
-    // bookkeeping; (2) query evaluation over the now-immutable KB,
-    // concurrent when a pool is configured; (3) sequential consumption
-    // in registration order, so failure recording, abort behavior, and
-    // the eligible order the policy sees match the inline path exactly.
+    // AND not quarantined (open circuits sit out their cooldown). Gating
+    // runs over every transducer before any dependency is checked: the
+    // checks may record failure facts, which move the global version,
+    // so interleaving the two would change what the version gate of the
+    // remaining transducers sees.
     std::vector<Transducer*> eligible;
     {
       obs::ScopedSpan eligibility_span(spans, eligibility_hist, "eligibility",
                                        "orchestrator");
       VADA_RETURN_IF_ERROR(SyncControlFactsIfStale(kb));
 
-      // Phase 1: gating (mutates failure_state_; must stay sequential).
+      // Phase 1: gating (mutates failure_state_).
       std::vector<Transducer*> candidates;
       for (const std::unique_ptr<Transducer>& t : registry_->transducers()) {
         FailureState* fs = nullptr;
@@ -492,63 +453,20 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
         candidates.push_back(t.get());
       }
 
-      // Phase 2: find the memo misses (never answered, or a read relation
-      // moved since), once per dependency text. With a pool and more than
-      // one miss, evaluate them up front concurrently: the KB is not
-      // mutated until the chosen transducer executes, and snapshot-cache
-      // lookups are thread-safe, so the queries are independent pure reads.
-      std::vector<Result<Dependency*>> deps;
-      std::vector<size_t> misses;
-      std::set<const Dependency*> queued;  // candidates may share a text
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        deps.push_back(ParsedDependency(candidates[i]->input_dependency()));
-        if (deps[i].ok() && !deps[i].value()->Fresh(*kb) &&
-            queued.insert(deps[i].value()).second) {
-          misses.push_back(i);
-        }
-      }
-      const bool parallel_scan = pool != nullptr && misses.size() > 1;
-      std::vector<std::optional<Answer>> prefetched(candidates.size());
-      if (parallel_scan) {
-        std::vector<uint64_t> query_ns(misses.size(), 0);
-        uint64_t wall0 = obs::MonotonicNanos();
-        pool->ParallelFor(misses.size(), [&](size_t j) {
-          const size_t i = misses[j];
-          uint64_t q0 = obs::MonotonicNanos();
-          prefetched[i] = EvaluateDependency(*deps[i].value(), *kb);
-          query_ns[j] = obs::MonotonicNanos() - q0;
-        });
-        uint64_t wall = obs::MonotonicNanos() - wall0;
-        if (scan_speedup_hist != nullptr && wall > 0) {
-          uint64_t sequential_ns = 0;
-          for (uint64_t ns : query_ns) sequential_ns += ns;
-          scan_speedup_hist->Observe(static_cast<double>(sequential_ns) /
-                                     static_cast<double>(wall));
-        }
-      }
-
-      // Phase 3: consume answers in registration order, memoizing OK
-      // ones. Counters are incremented here, not at evaluation, so an
-      // abort on a failed dependency reports the same dependency_checks
-      // as the inline path, which never evaluates past the failure.
-      // Dependencies not prefetched are checked here, against the KB as
-      // it stands after any failure facts recorded earlier in this loop.
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        Transducer* t = candidates[i];
+      // Phase 2: check dependencies in registration order, against the
+      // KB as it stands after any failure facts recorded earlier in this
+      // loop. Counters count consultations, memo hits included.
+      for (Transducer* t : candidates) {
         ++st->dependency_checks;
         if (dep_checks_counter != nullptr) dep_checks_counter->Increment();
-        Result<bool> ready = Status::Internal("not evaluated");
-        if (!deps[i].ok()) {
-          ready = deps[i].status();
-        } else if (prefetched[i].has_value()) {
-          ready = Memoize(deps[i].value(), *kb, std::move(*prefetched[i]));
-        } else {
-          bool hit = false;
-          ready = CheckDependency(deps[i].value(), *kb, &hit);
-          if (hit) {
-            ++st->dependency_memo_hits;
-            if (memo_hits_counter != nullptr) memo_hits_counter->Increment();
-          }
+        Result<Dependency*> dep = ParsedDependency(t->input_dependency());
+        bool hit = false;
+        Result<bool> ready = dep.ok()
+                                 ? CheckDependency(dep.value(), *kb, &hit)
+                                 : Result<bool>(dep.status());
+        if (hit) {
+          ++st->dependency_memo_hits;
+          if (memo_hits_counter != nullptr) memo_hits_counter->Increment();
         }
         if (!ready.ok()) {
           Status dep_error = DependencyError(*t, ready.status());
@@ -633,18 +551,8 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
           guard.Commit();
           break;
         }
-        // Capture before Rollback() clears the pre-image map. Rollback
-        // restores contents and version counters together, so strictly
-        // the version-keyed entries stay valid — invalidating is the
-        // defensive belt-and-braces for the cache's keying invariant
-        // (snapshot_cache.h).
-        std::vector<std::string> touched;
-        if (cache != nullptr) touched = guard.TouchedRelationNames();
         uint64_t rb0 = obs::MonotonicNanos();
         guard.Rollback();
-        if (cache != nullptr) {
-          for (const std::string& name : touched) cache->Invalidate(name);
-        }
         if (rollback_hist != nullptr) {
           rollback_hist->Observe(
               static_cast<double>(obs::MonotonicNanos() - rb0) * 1e-9);

@@ -8,10 +8,8 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "datalog/ast.h"
 #include "datalog/planner.h"
-#include "datalog/snapshot_cache.h"
 #include "kb/knowledge_base.h"
 #include "obs/obs.h"
 #include "transducer/failure_policy.h"
@@ -81,20 +79,6 @@ struct OrchestratorOptions {
   /// Fault tolerance: write-guard rollback, retry/backoff, quarantine,
   /// budgets, failure facts (see failure_policy.h).
   FailurePolicy failure_policy;
-  /// Worker pool for the eligibility scan (not owned; may be shared with
-  /// the evaluator). When set, the dependency queries of one scan are
-  /// evaluated concurrently over the immutable KB; gating, failure
-  /// recording, and policy choice stay sequential in registration order,
-  /// so scheduling decisions are identical to a nullptr-pool run. Null:
-  /// the scan runs inline exactly as before (the threads=1 escape hatch).
-  ThreadPool* pool = nullptr;
-  /// Version-keyed relation-snapshot cache shared by the scan's
-  /// dependency queries (not owned). It only affects dependency-memo
-  /// misses (a memo hit loads nothing): such an evaluation borrows the
-  /// relations it reads instead of copying them, re-snapshotting only
-  /// those whose version moved. Null: every evaluation copies what it
-  /// reads. Works with or without `pool`.
-  datalog::SnapshotCache* snapshot_cache = nullptr;
   /// Join planning of the scan's dependency queries (composite index
   /// probing, cost-based literal reordering; see datalog/planner.h).
   datalog::PlannerOptions planner;
@@ -221,26 +205,12 @@ class NetworkTransducer {
   /// step). Parse errors are returned afresh on every call.
   Result<Dependency*> ParsedDependency(const std::string& source);
 
-  /// One evaluation of a dependency and the read versions it saw.
-  struct Answer {
-    Result<bool> ready = Status::Internal("not evaluated");
-    std::vector<uint64_t> versions;
-  };
-
-  /// Evaluates `dep` over `kb`; a pure read, safe on pool workers.
-  Answer EvaluateDependency(const Dependency& dep,
-                            const KnowledgeBase& kb) const;
-
   /// Answers `dep` from its memo when none of its reads moved (sets
-  /// `*hit`), else evaluates it and memoizes an OK answer.
+  /// `*hit`), else evaluates it over `kb`. An OK answer is memoized
+  /// unless a WriteGuard is active (its rollback may hand out the
+  /// versions the evaluation saw again); errors are never memoized.
   Result<bool> CheckDependency(Dependency* dep, const KnowledgeBase& kb,
                                bool* hit);
-
-  /// Records `answer` as `dep`'s memo when it is OK and no WriteGuard is
-  /// active (a rollback may hand out the versions it saw again); returns
-  /// its result either way.
-  static Result<bool> Memoize(Dependency* dep, const KnowledgeBase& kb,
-                              Answer answer);
 
   TransducerRegistry* registry_;  // not owned
   std::unique_ptr<SchedulingPolicy> policy_;
@@ -251,9 +221,6 @@ class NetworkTransducer {
   std::map<std::string, Dependency> parsed_deps_;
   uint64_t control_synced_at_version_ = 0;
   size_t next_step_ = 0;
-  /// High-water mark of options_.pool->tasks_executed() already published
-  /// to the vada_pool_tasks_total counter (published as deltas per Run).
-  uint64_t pool_tasks_published_ = 0;
 };
 
 }  // namespace vada

@@ -42,27 +42,6 @@ struct SourceSelectorOptions {
   bool exclude_below_min = true;
 };
 
-/// Parallel & incremental evaluation knobs (DESIGN.md §5e). The
-/// defaults — one thread, no cache — reproduce the fully sequential
-/// engine exactly; the session only constructs a pool/cache when asked.
-struct ParallelismOptions {
-  /// Worker threads for eligibility scans and per-stratum rule
-  /// evaluation. 1 (or 0) means no pool is created and everything runs
-  /// inline on the calling thread, bit-identical to earlier releases.
-  /// Results are deterministic at every setting — parallel evaluation
-  /// merges in fixed task order — so raising this never changes output,
-  /// only wall time.
-  size_t threads = 1;
-  /// Version-keyed snapshot cache for dependency-scan relation loads
-  /// (see datalog/snapshot_cache.h): an eligibility scan re-copies only
-  /// relations whose version moved since the previous scan. Independent
-  /// of `threads`; the biggest single win for scans over large KBs.
-  bool snapshot_cache = false;
-  /// Minimum outer-candidate count before one rule evaluation is split
-  /// into parallel chunks (forwarded to EvalOptions).
-  size_t parallel_chunk_threshold = 1024;
-};
-
 /// Delta-driven differential maintenance of mapping execution — the
 /// paper's "pay-as-you-go" made incremental (DESIGN.md §5k). With
 /// `enabled`, the session attaches a DeltaLog to the knowledge base and
@@ -120,11 +99,6 @@ struct WranglerConfig {
   /// or `on_failure_exhausted = FailureAction::kAbort` to fail fast
   /// *with* rollback and retries. See failure_policy.h and DESIGN.md §5d.
   FailurePolicy fault_tolerance;
-  /// Parallel & incremental evaluation: thread count for scans and rule
-  /// evaluation, and the version-keyed snapshot cache. Defaults are the
-  /// sequential escape hatch (threads = 1, cache off). See DESIGN.md §5e
-  /// and README "Performance & tuning".
-  ParallelismOptions parallelism;
   /// Join planning for every Datalog evaluation the session runs —
   /// mapping execution, dependency scans and orchestration queries:
   /// composite hash-index probing and cost-based literal reordering

@@ -77,28 +77,9 @@ WranglingSession::WranglingSession(WranglerConfig config) {
     state_->delta_log = delta_log_.get();
   }
   registry_.SetDecorator(state_->config.transducer_decorator);
-  const ParallelismOptions& par = state_->config.parallelism;
-  if (par.threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(par.threads - 1);
-  }
-  if (par.snapshot_cache) {
-    snapshot_cache_ = std::make_unique<datalog::SnapshotCache>();
-    if (obs_->metrics() != nullptr) {
-      snapshot_cache_->SetCounters(
-          obs_->metrics()->GetCounter(
-              "vada_snapshot_cache_hits_total",
-              "Dependency-scan relation loads served from the snapshot "
-              "cache without copying"),
-          obs_->metrics()->GetCounter(
-              "vada_snapshot_cache_misses_total",
-              "Dependency-scan relation loads that (re)built a snapshot"));
-    }
-  }
   OrchestratorOptions orch_options;
   orch_options.obs = obs_.get();
   orch_options.failure_policy = state_->config.fault_tolerance;
-  orch_options.pool = pool_.get();
-  orch_options.snapshot_cache = snapshot_cache_.get();
   orch_options.planner = state_->config.planner;
   orchestrator_ = std::make_unique<NetworkTransducer>(
       &registry_,
@@ -273,15 +254,13 @@ void WranglingSession::PublishKbGauges() const {
       ->Set(static_cast<int64_t>(kb_.facts_added()));
   m->GetGauge("vada_kb_facts_removed", "Lifetime facts removed from the KB")
       ->Set(static_cast<int64_t>(kb_.facts_removed()));
-  // Persistent composite join indexes live only on the snapshot-cache
-  // databases (per-evaluation scratch copies die with their run), so
-  // the cache is the whole story for index memory. 0 when the cache is
-  // off or nothing has been indexed yet.
-  size_t index_bytes =
-      snapshot_cache_ == nullptr ? 0 : snapshot_cache_->ApproxIndexBytes();
+  // Persistent composite join indexes live only on the mapping-source
+  // snapshots (per-evaluation scratch copies die with their run), so
+  // that cache is the whole story for index memory.
+  size_t index_bytes = state_->mapping_source_cache.ApproxIndexBytes();
   m->GetGauge("vada_index_bytes",
               "Approximate resident bytes of composite join indexes on "
-              "cached relation snapshots")
+              "cached mapping-source snapshots")
       ->Set(static_cast<int64_t>(index_bytes));
   // The process-wide symbol table backing the columnar Datalog engine.
   // Monotone by design (ids are never recycled); these gauges are how

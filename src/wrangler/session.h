@@ -6,9 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "datalog/explain.h"
-#include "datalog/snapshot_cache.h"
 #include "kb/knowledge_base.h"
 #include "obs/obs.h"
 #include "quality/metrics.h"
@@ -162,13 +160,6 @@ class WranglingSession {
   const KnowledgeBase& kb() const { return kb_; }
   const WranglingState& state() const { return *state_; }
 
-  /// The snapshot cache backing config.parallelism.snapshot_cache
-  /// (nullptr when the cache is off). Exposed for tests and benches that
-  /// assert on hit/miss statistics.
-  const datalog::SnapshotCache* snapshot_cache() const {
-    return snapshot_cache_.get();
-  }
-
  private:
   void PublishKbGauges() const;
 
@@ -192,12 +183,6 @@ class WranglingSession {
   /// const MetricsReport() also calls.
   mutable obs::SessionRegistry::SessionHandle session_handle_;
   TransducerRegistry registry_;
-  /// Worker pool and snapshot cache backing config.parallelism (null
-  /// when threads <= 1 / the cache is off). Declared before the
-  /// orchestrator, which borrows raw pointers to both, so they outlive
-  /// it on destruction.
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<datalog::SnapshotCache> snapshot_cache_;
   std::unique_ptr<NetworkTransducer> orchestrator_;
   bool transducers_registered_ = false;
 };

@@ -32,17 +32,6 @@ struct EvalOutput {
     for (auto& [pred, rows] : out) std::sort(rows.begin(), rows.end());
     return out;
   }
-
-  /// Bit-identity: same rows in the same order, same stats.
-  bool operator==(const EvalOutput& o) const {
-    return facts == o.facts && stats.iterations == o.stats.iterations &&
-           stats.facts_derived == o.stats.facts_derived &&
-           stats.rule_applications == o.stats.rule_applications &&
-           stats.join_probes == o.stats.join_probes &&
-           stats.index_probes == o.stats.index_probes &&
-           stats.index_candidates == o.stats.index_candidates &&
-           stats.index_builds == o.stats.index_builds;
-  }
 };
 
 inline EvalOutput Evaluate(const Program& program, const Database& edb,

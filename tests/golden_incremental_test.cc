@@ -2,10 +2,10 @@
 // scenario is driven through a deterministic feedback/context/source
 // event stream and the final fused result is compared against a
 // canonical snapshot in tests/golden/. The snapshot must be reproduced
-// exactly with differential maintenance off, on, on with a tiny
-// fallback threshold (every batch becomes a full re-run), and on with
-// a worker pool — pinning down that delta maintenance never changes
-// what the user sees, only how it is computed.
+// exactly with differential maintenance off, on, and on with a tiny
+// fallback threshold (every batch becomes a full re-run) — pinning down
+// that delta maintenance never changes what the user sees, only how it
+// is computed.
 //
 // Regenerate after an intentional semantic change with:
 //   VADA_UPDATE_GOLDEN=1 ./tests/golden_incremental_test
@@ -164,14 +164,6 @@ TEST(GoldenIncrementalTest, FeedbackStreamMatchesGoldenWithAndWithoutDeltas) {
     v.name = "maintenance on, every batch falls back";
     v.config.incremental.enabled = true;
     v.config.incremental.max_delta_fraction = 0.0;  // <= 0: always full
-    variants.push_back(v);
-  }
-  {
-    Variant v;
-    v.name = "maintenance on, pool-backed";
-    v.config.incremental.enabled = true;
-    v.config.parallelism.threads = 4;
-    v.config.parallelism.snapshot_cache = true;
     variants.push_back(v);
   }
   for (const Variant& v : variants) {

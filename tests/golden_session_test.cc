@@ -2,8 +2,8 @@
 // deep-web property sources, seeded extraction errors) is wrangled by a
 // full WranglingSession bootstrap and the fused result relation is
 // compared against a canonical snapshot checked into tests/golden/.
-// Every planner configuration — oracle, indexes, reorder, parallel —
-// must reproduce the snapshot exactly, pinning down both the wrangling
+// Every planner configuration — oracle, indexes, reorder — must
+// reproduce the snapshot exactly, pinning down both the wrangling
 // semantics and the planner's output-preservation guarantee.
 //
 // Regenerate the snapshot after an intentional semantic change with:
@@ -123,14 +123,6 @@ TEST(GoldenSessionTest, DemoScenarioMatchesGoldenUnderAllPlannerConfigs) {
     Variant v;
     v.name = "reorder only";
     v.config.planner = {.indexes = false, .reorder = true};
-    variants.push_back(v);
-  }
-  {
-    Variant v;
-    v.name = "parallel with cache";
-    v.config.parallelism.threads = 4;
-    v.config.parallelism.snapshot_cache = true;
-    v.config.parallelism.parallel_chunk_threshold = 64;
     variants.push_back(v);
   }
   for (const Variant& v : variants) {

@@ -5,7 +5,7 @@
 // stream. After every event round the two wrangled results must be
 // row-identical — the session-level counterpart of the 500-program
 // engine fuzz in datalog_differential_test.cc. Runs in tier-1 ctest and
-// the TSan CI job (the incremental session also runs a worker pool).
+// the TSan CI job.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -65,9 +65,6 @@ TEST(IncrementalSessionSoakTest, EventStreamMatchesFullRerunOracle) {
 
   WranglerConfig inc_config;
   inc_config.incremental.enabled = true;
-  // Pool-backed, to put the delta path under the TSan job's eye too.
-  inc_config.parallelism.threads = 3;
-  inc_config.parallelism.snapshot_cache = true;
   WranglingSession incremental(inc_config);
   WranglingSession oracle;  // defaults: full re-execution every round
   ASSERT_TRUE(Bootstrap(&incremental, truth).ok());

@@ -295,8 +295,8 @@ TEST(SpanTest, NullTargetsAreNoOp) {
 }
 
 // Each recording thread gets its own dense lane id, so concurrent spans
-// from pool workers reconstruct as separate trace rows instead of one
-// interleaved mess.
+// from different threads reconstruct as separate trace rows instead of
+// one interleaved mess.
 TEST(SpanTest, EachRecordingThreadGetsItsOwnLane) {
   SpanCollector collector;
   {

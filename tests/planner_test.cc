@@ -268,12 +268,13 @@ TEST(BoundIndexTest, WriteGuardRollbackYieldsConsistentSnapshotIndexes) {
     ASSERT_TRUE(kb.Assert("r", {Value::Int(77), Value::Int(78)}).ok());
     guard.Rollback();
   }
-  cache.Invalidate("r");  // the documented post-rollback courtesy call
 
-  // The re-fetched snapshot reflects the rolled-back contents, and the
-  // index built on it never sees the aborted write.
+  // Rollback restores the relation's version, so the re-fetched snapshot
+  // is the pre-write one, and the index built on it never sees the
+  // aborted write.
   std::shared_ptr<const Database> after = cache.Get(kb, "r");
   ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after.get(), before.get());
   EXPECT_EQ(after->FactCount("r"), 5u);
   const BoundIndex* index_after = after->EnsureBoundIndex("r", {0}, &built);
   ASSERT_NE(index_after, nullptr);

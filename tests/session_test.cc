@@ -265,6 +265,13 @@ TEST_F(SessionTest, MetricsReportExposesOrchestrationMetrics) {
                    static_cast<double>(stats.dependency_checks));
   EXPECT_DOUBLE_EQ(report.snapshot.Value("vada_session_runs"), 1.0);
   EXPECT_GT(report.snapshot.Value("vada_kb_relations"), 0.0);
+  // Composite join indexes live on the mapping-source snapshots, which
+  // every default session keeps; the gauge reports exactly that cache.
+  const size_t index_bytes =
+      session.state().mapping_source_cache.ApproxIndexBytes();
+  EXPECT_GT(index_bytes, 0u);
+  EXPECT_DOUBLE_EQ(report.snapshot.Value("vada_index_bytes"),
+                   static_cast<double>(index_bytes));
 
   // Per-transducer execute-duration histograms, one observation per run.
   std::map<std::string, size_t> counts = session.trace().ExecutionCounts();
