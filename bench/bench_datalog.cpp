@@ -87,7 +87,7 @@ BENCHMARK(BM_TransitiveClosureGrid)
     ->Unit(benchmark::kMillisecond);
 
 /// Join-planner ablation on a triangle query: full-scan oracle vs
-/// composite-index + reordered evaluation (DESIGN.md §5f). The wider
+/// composite-index evaluation (DESIGN.md §5f). The wider
 /// comparison (work counters, scenario run) lives in bench_join_planner.
 void BM_JoinPlannerTriangles(benchmark::State& state) {
   bool planner_on = state.range(1) == 1;
@@ -108,14 +108,14 @@ void BM_JoinPlannerTriangles(benchmark::State& state) {
     Database db = edb;
     EvalOptions opts;
     if (!planner_on) {
-      opts.planner = PlannerOptions{.indexes = false, .reorder = false};
+      opts.planner = PlannerOptions{.indexes = false};
     }
     Evaluator eval(program, opts);
     if (!eval.Prepare().ok()) state.SkipWithError("prepare failed");
     if (!eval.Run(&db).ok()) state.SkipWithError("run failed");
     benchmark::DoNotOptimize(db.FactCount("tri"));
   }
-  state.SetLabel(planner_on ? "indexed+reordered" : "full-scan oracle");
+  state.SetLabel(planner_on ? "indexed" : "full-scan oracle");
 }
 BENCHMARK(BM_JoinPlannerTriangles)
     ->Args({200, 1})

@@ -1,8 +1,8 @@
 // Experiment J1 (extension beyond the paper): join-planner
-// effectiveness. Composite hash-index probing plus cost-based literal
-// reordering (DESIGN.md §5f) against the full-scan, legacy-order oracle
-// ({indexes = false, reorder = false}) on recursive Datalog workloads
-// and on the full wrangling scenario.
+// effectiveness. Composite hash-index probing (DESIGN.md §5f) against
+// the full-scan oracle ({indexes = false}) on recursive Datalog
+// workloads and on the full wrangling scenario. Both sides use the same
+// cost-based literal order.
 //
 // "Join work" is EvalStats::join_probes + index_probes +
 // index_candidates — every candidate fact touched plus every hash
@@ -103,14 +103,13 @@ size_t SessionJoinWork(const obs::MetricsSnapshot& snapshot) {
 }  // namespace
 
 int main() {
-  std::printf("J1: join planner (composite indexes + reordering) vs "
-              "full-scan oracle\n\n");
+  std::printf("J1: join planner (composite indexes) vs full-scan oracle\n\n");
   BenchReport report("join_planner");
   Table table({"workload", "results", "oracle ms", "planner ms",
                "oracle work", "planner work", "work reduction"});
 
-  const PlannerOptions oracle{.indexes = false, .reorder = false};
-  const PlannerOptions planner;  // defaults: indexes + reorder on
+  const PlannerOptions oracle{.indexes = false};
+  const PlannerOptions planner;  // defaults: indexes on
 
   struct Workload {
     std::string name;

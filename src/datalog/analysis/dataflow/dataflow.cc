@@ -98,25 +98,6 @@ PosFacts AbstractAggregate(AggFunc func, const PosFacts& operand) {
   return PosFacts::Top();
 }
 
-bool CompareSatisfiable(CompareOp op, const Value& a, const Value& b) {
-  std::optional<int> cmp = CompareValues(a, b);
-  switch (op) {
-    case CompareOp::kEq:
-      return cmp.has_value() && *cmp == 0;
-    case CompareOp::kNe:
-      return !cmp.has_value() || *cmp != 0;
-    case CompareOp::kLt:
-      return cmp.has_value() && *cmp < 0;
-    case CompareOp::kLe:
-      return cmp.has_value() && *cmp <= 0;
-    case CompareOp::kGt:
-      return cmp.has_value() && *cmp > 0;
-    case CompareOp::kGe:
-      return cmp.has_value() && *cmp >= 0;
-  }
-  return true;
-}
-
 SourcePos AnchorPos(const SourcePos& preferred, const SourcePos& fallback) {
   return preferred.known() ? preferred : fallback;
 }
@@ -349,8 +330,7 @@ class Analysis {
     for (const Literal& lit : rule.body) {
       if (lit.kind != Literal::Kind::kComparison) continue;
       if (lit.lhs.is_constant() && lit.rhs.is_constant()) {
-        if (!CompareSatisfiable(lit.compare_op, lit.lhs.value(),
-                                lit.rhs.value())) {
+        if (!EvalCompare(lit.compare_op, lit.lhs.value(), lit.rhs.value())) {
           Fail(findings, FindingKind::kUnsatisfiableGuard, lit.pos,
                "guard " + lit.ToString() + " is always false");
           return false;
@@ -380,7 +360,7 @@ class Analysis {
         bool any = false;
         for (const Value& va : la.consts.values()) {
           for (const Value& vb : ra.consts.values()) {
-            if (CompareSatisfiable(lit.compare_op, va, vb)) {
+            if (EvalCompare(lit.compare_op, va, vb)) {
               any = true;
               break;
             }

@@ -14,25 +14,6 @@ namespace vada::datalog::dataflow {
 
 namespace {
 
-bool GuardSatisfied(CompareOp op, const Value& a, const Value& b) {
-  std::optional<int> cmp = CompareValues(a, b);
-  switch (op) {
-    case CompareOp::kEq:
-      return cmp.has_value() && *cmp == 0;
-    case CompareOp::kNe:
-      return !cmp.has_value() || *cmp != 0;
-    case CompareOp::kLt:
-      return cmp.has_value() && *cmp < 0;
-    case CompareOp::kLe:
-      return cmp.has_value() && *cmp <= 0;
-    case CompareOp::kGt:
-      return cmp.has_value() && *cmp > 0;
-    case CompareOp::kGe:
-      return cmp.has_value() && *cmp >= 0;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------
 // Constant folding.
 // ---------------------------------------------------------------------
@@ -76,8 +57,7 @@ void FoldRule(Rule* rule, OptimizerReport* report) {
     for (auto it = rule->body.begin(); it != rule->body.end(); ++it) {
       if (it->kind == Literal::Kind::kComparison && it->lhs.is_constant() &&
           it->rhs.is_constant() &&
-          GuardSatisfied(it->compare_op, it->lhs.value(),
-                         it->rhs.value())) {
+          EvalCompare(it->compare_op, it->lhs.value(), it->rhs.value())) {
         rule->body.erase(it);
         ++report->folded_comparisons;
         changed = true;

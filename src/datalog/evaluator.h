@@ -31,13 +31,10 @@ struct EvalOptions {
   /// (rules fired, facts derived, join probes, per-stratum time) into
   /// this registry. Null: no instrumentation beyond EvalStats.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Join planning: composite hash-index probing and cost-based literal
-  /// reordering (DESIGN.md §5f). Defaults on; `{.indexes = false,
-  /// .reorder = false}` is the full-scan, legacy-order reference oracle
-  /// the differential fuzz harness compares against. The derived fact
-  /// *set* is identical at every setting; `reorder` may permute row
-  /// order (reordered joins enumerate solutions differently), `indexes`
-  /// never does.
+  /// Join planning: composite hash-index probing (DESIGN.md §5f).
+  /// Defaults on; `{.indexes = false}` is the full-scan reference oracle
+  /// the differential fuzz harness compares against. The derived facts,
+  /// and their row order, are identical at every setting.
   PlannerOptions planner;
 };
 
@@ -138,7 +135,7 @@ std::optional<int> CompareValues(const Value& a, const Value& b);
 
 /// Truth of `a op b` under CompareValues semantics (incomparable values
 /// satisfy only `!=`) — the comparison-literal semantics, shared with
-/// the differential evaluator's sweep executor.
+/// the dataflow analysis and optimizer so static verdicts match runs.
 bool EvalCompare(CompareOp op, const Value& a, const Value& b);
 
 /// Applies `op`; int op int stays int (except division, always double).

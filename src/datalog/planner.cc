@@ -96,7 +96,6 @@ size_t EstimatedCost(const Literal& l, const Database& db,
 std::vector<size_t> PlanBodyOrder(const Rule& rule, const Database* db,
                                   const PlannerOptions& options,
                                   std::vector<LiteralPlan>* plan) {
-  const bool cost_based = options.reorder && db != nullptr;
   std::vector<size_t> pending;
   pending.reserve(rule.body.size());
   for (size_t i = 0; i < rule.body.size(); ++i) pending.push_back(i);
@@ -136,37 +135,27 @@ std::vector<size_t> PlanBodyOrder(const Rule& rule, const Database* db,
       }
     }
     if (placed) continue;
-    // 2. Cheapest positive atom. Ties fall back to declared order in
-    // both modes, so planning is deterministic.
+    // 2. Cheapest positive atom; ties prefer more bound terms, then
+    // declared order, so planning is deterministic. Without a database
+    // every atom costs 0 and the tie-breaks alone decide.
     int best = -1;
     size_t best_cost = 0;
     size_t best_prior = 0;
-    if (cost_based) {
-      size_t best_bound = 0;
-      for (size_t i = 0; i < pending.size(); ++i) {
-        const Literal& l = rule.body[pending[i]];
-        if (l.kind != Literal::Kind::kAtom) continue;
-        size_t prior_used = 0;
-        size_t cost = EstimatedCost(l, *db, options, bound, &prior_used);
-        size_t bound_terms = BoundTermCount(l, bound);
-        if (best < 0 || cost < best_cost ||
-            (cost == best_cost && bound_terms > best_bound)) {
-          best = static_cast<int>(i);
-          best_cost = cost;
-          best_bound = bound_terms;
-          best_prior = prior_used;
-        }
-      }
-    } else {
-      int best_score = -1;
-      for (size_t i = 0; i < pending.size(); ++i) {
-        const Literal& l = rule.body[pending[i]];
-        if (l.kind != Literal::Kind::kAtom) continue;
-        int score = static_cast<int>(BoundTermCount(l, bound));
-        if (score > best_score) {
-          best_score = score;
-          best = static_cast<int>(i);
-        }
+    size_t best_bound = 0;
+    for (size_t i = 0; i < pending.size(); ++i) {
+      const Literal& l = rule.body[pending[i]];
+      if (l.kind != Literal::Kind::kAtom) continue;
+      size_t prior_used = 0;
+      size_t cost = db == nullptr
+                        ? 0
+                        : EstimatedCost(l, *db, options, bound, &prior_used);
+      size_t bound_terms = BoundTermCount(l, bound);
+      if (best < 0 || cost < best_cost ||
+          (cost == best_cost && bound_terms > best_bound)) {
+        best = static_cast<int>(i);
+        best_cost = cost;
+        best_bound = bound_terms;
+        best_prior = prior_used;
       }
     }
     if (best >= 0) {

@@ -14,26 +14,19 @@ namespace vada::datalog {
 class Database;
 
 /// Join-planning knobs of the evaluator (DESIGN.md §5f). The defaults
-/// are the fast path; `{.indexes = false, .reorder = false}` is the
-/// reference oracle the differential fuzz harness compares against:
-/// body literals keep the legacy bind-aware order and every atom is
-/// resolved by scanning the full relation.
+/// are the fast path; `{.indexes = false}` is the reference oracle the
+/// differential fuzz harness compares against: every atom is resolved
+/// by scanning the full relation.
 ///
-/// Both knobs are *output-preserving up to row order*: the set of
-/// derived facts is identical at any setting (and `indexes` alone never
-/// changes row order either — index buckets keep insertion order, so
-/// probing enumerates the same facts in the same order a scan would).
+/// `indexes` is output-preserving: the derived facts are identical at
+/// either setting, in the same row order — index buckets keep insertion
+/// order, so probing enumerates the same facts in the same order a scan
+/// would.
 struct PlannerOptions {
   /// Probe lazy per-(predicate, bound-position-set) hash indexes for the
   /// bound prefix of each body atom instead of scanning candidates.
   /// false: atoms are resolved by full scans (the oracle path).
   bool indexes = true;
-  /// Reorder body literals greedily by estimated selectivity — bound
-  /// positions, relation cardinality, constants first — instead of the
-  /// legacy bound-count heuristic. Negations, comparisons and
-  /// assignments are hoisted as early as their variables allow in both
-  /// modes.
-  bool reorder = true;
   /// Relations with fewer facts than this are scanned rather than
   /// indexed: building a hash table over a handful of tuples costs more
   /// than the scan it would save (deltas of semi-naive rounds are
@@ -60,8 +53,8 @@ struct LiteralPlan {
   size_t body_index = 0;      ///< position in the rule's declared body
   /// The candidate-count estimate at placement time: positive atoms get
   /// EstimatedCost (cardinality shrunk per bound position); hoisted
-  /// builtins/negations cost 0. Meaningful only in cost-based mode —
-  /// the legacy heuristic never computes costs and records 0.
+  /// builtins/negations, and every literal planned without a database,
+  /// cost 0.
   size_t estimated_cost = 0;
   size_t bound_terms = 0;     ///< ground terms at placement time
   /// The static cardinality prior that stood in for the (zero) runtime
@@ -74,13 +67,11 @@ struct LiteralPlan {
 /// Returns the execution order of `rule`'s body as indexes into
 /// `rule.body`. Greedy: at every step, ready negations / comparisons /
 /// assignments (all their variables bound) are hoisted first; then the
-/// cheapest positive atom is chosen —
-///  * with `options.reorder` and a non-null `db`: smallest estimated
-///    candidate count, `FactCount` shrunk per bound position (constants
-///    and variables bound by already-placed literals); ties prefer more
-///    bound positions, then declared order;
-///  * otherwise (legacy heuristic, the oracle): most bound terms, ties
-///    by declared order.
+/// positive atom with the smallest estimated candidate count is chosen —
+/// `FactCount` shrunk per bound position (constants and variables bound
+/// by already-placed literals); ties prefer more bound positions, then
+/// declared order. With a null `db` every atom costs 0, so the most
+/// bound atom goes first, ties by declared order.
 /// When `plan` is non-null it receives one LiteralPlan per body literal,
 /// parallel to the returned order.
 /// Exposed for the planner unit tests; the evaluator calls it per rule

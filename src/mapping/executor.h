@@ -45,7 +45,7 @@ struct MappingDeltaState {
 class MappingExecutor {
  public:
   /// `planner` configures join planning of the underlying evaluations
-  /// (defaults: indexes + reordering on; see datalog/planner.h).
+  /// (defaults: indexes on; see datalog/planner.h).
   explicit MappingExecutor(datalog::PlannerOptions planner = {})
       : planner_(planner) {}
 

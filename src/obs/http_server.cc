@@ -21,7 +21,7 @@ Status HttpServer::Start(uint16_t) {
 }
 void HttpServer::Stop() {}
 void HttpServer::Handle(const std::string&, Handler) {}
-void HttpServer::AcceptLoop() {}
+void HttpServer::AcceptLoop(int) {}
 void HttpServer::ServeClient(int) {}
 HttpResponse HttpServer::Dispatch(const HttpRequest&) { return {}; }
 
@@ -91,24 +91,27 @@ Status HttpServer::Start(uint16_t port) {
   }
   listen_fd_ = fd;
   running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { AcceptLoop(); });
+  // The accept thread gets the fd by value: listen_fd_ is only touched
+  // by the Start/Stop caller.
+  thread_ = std::thread([this, fd] { AcceptLoop(fd); });
   return Status::OK();
 }
 
 void HttpServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   // shutdown() wakes the blocking accept(); close() alone is not
-  // guaranteed to on all platforms.
+  // guaranteed to on all platforms. The fd is closed only after the
+  // join, so its number cannot be reused while accept() may still use it.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (thread_.joinable()) thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (thread_.joinable()) thread_.join();
   port_.store(0, std::memory_order_release);
 }
 
-void HttpServer::AcceptLoop() {
+void HttpServer::AcceptLoop(int listen_fd) {
   while (running_.load(std::memory_order_acquire)) {
-    int client = ::accept(listen_fd_, nullptr, nullptr);
+    int client = ::accept(listen_fd, nullptr, nullptr);
     if (client < 0) {
       if (errno == EINTR) continue;
       return;  // listening socket closed by Stop()

@@ -73,7 +73,7 @@ class HttpServer {
   }
 
  private:
-  void AcceptLoop();
+  void AcceptLoop(int listen_fd);
   void ServeClient(int client_fd);
   HttpResponse Dispatch(const HttpRequest& request);
 

@@ -101,12 +101,12 @@ struct WranglerConfig {
   FailurePolicy fault_tolerance;
   /// Join planning for every Datalog evaluation the session runs —
   /// mapping execution, dependency scans and orchestration queries:
-  /// composite hash-index probing and cost-based literal reordering
-  /// (DESIGN.md §5f). Defaults on; `{.indexes = false, .reorder =
-  /// false}` is the full-scan reference oracle. The derived facts are
-  /// identical at every setting of `indexes`/`reorder`. `optimize`
-  /// additionally runs the goal-directed dataflow rewrites (DESIGN.md
-  /// §5h) on the session's orchestration queries — goal-visible results
+  /// composite hash-index probing (DESIGN.md §5f); literal order is
+  /// always cost-based. Defaults on; `{.indexes = false}` is the
+  /// full-scan reference oracle. The derived facts are identical at
+  /// either setting of `indexes`. `optimize` additionally runs the
+  /// goal-directed dataflow rewrites (DESIGN.md §5h) on the session's
+  /// orchestration queries — goal-visible results
   /// are unchanged, but facts of predicates a query does not need may
   /// no longer be derived into its scratch database. See README
   /// "Performance & tuning".

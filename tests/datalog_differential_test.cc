@@ -2,10 +2,10 @@
 //
 // Each case generates a random program + database from a seed and
 // evaluates it under every planner configuration. The oracle is the
-// full-scan, legacy-order path ({indexes = false, reorder = false});
-// the indexed and reordered paths must derive the same fact sets, and
-// `indexes` alone must reproduce the oracle's row order exactly (index
-// buckets keep insertion order).
+// full-scan path ({indexes = false}); the indexed paths must reproduce
+// the oracle's facts row for row (index buckets keep insertion order),
+// and a body-literal-permuted copy of the program — which the planner
+// orders differently — must derive the same fact sets.
 #include <algorithm>
 #include <map>
 #include <string>
@@ -39,42 +39,51 @@ TEST_P(JoinPlannerDifferential, AllPlannerConfigsAgreeOnRandomPrograms) {
     Result<Program> program = Parser::Parse(RandomProgram(&rng));
     ASSERT_TRUE(program.ok()) << program.status().message();
 
-    // Oracle: full scans, legacy literal order.
+    // Oracle: full scans.
     EvalOptions oracle;
-    oracle.planner = PlannerOptions{.indexes = false, .reorder = false};
+    oracle.planner = PlannerOptions{.indexes = false};
     EvalOutput expected = Evaluate(program.value(), edb, oracle);
     auto expected_sorted = expected.SortedFacts();
 
     struct Config {
       const char* name;
       PlannerOptions planner;
-      bool same_row_order;  // must match the oracle row-for-row
     };
     // min_index_size 1 forces composite indexes onto even the tiny
     // relations this generator makes; the default-32 config covers the
     // single-column fallback path instead.
     const Config configs[] = {
-        {"indexes", {.indexes = true, .reorder = false, .min_index_size = 1},
-         true},
-        {"indexes-default-gate",
-         {.indexes = true, .reorder = false, .min_index_size = 32}, true},
-        {"reorder", {.indexes = false, .reorder = true}, false},
-        {"indexes+reorder",
-         {.indexes = true, .reorder = true, .min_index_size = 1}, false},
+        {"indexes", {.indexes = true, .min_index_size = 1}},
+        {"indexes-default-gate", {.indexes = true, .min_index_size = 32}},
     };
     for (const Config& config : configs) {
       SCOPED_TRACE(config.name);
       EvalOptions opts;
       opts.planner = config.planner;
-      EvalOutput sequential = Evaluate(program.value(), edb, opts);
-      // Same derived fact set as the oracle, always.
-      EXPECT_EQ(sequential.SortedFacts(), expected_sorted);
-      EXPECT_EQ(sequential.stats.facts_derived, expected.stats.facts_derived);
-      if (config.same_row_order) {
-        // `indexes` alone never permutes rows: buckets keep insertion
-        // order, so probing enumerates exactly what a scan would.
-        EXPECT_EQ(sequential.facts, expected.facts);
+      EvalOutput indexed = Evaluate(program.value(), edb, opts);
+      EXPECT_EQ(indexed.SortedFacts(), expected_sorted);
+      EXPECT_EQ(indexed.stats.facts_derived, expected.stats.facts_derived);
+      // `indexes` never permutes rows: buckets keep insertion order, so
+      // probing enumerates exactly what a scan would.
+      EXPECT_EQ(indexed.facts, expected.facts);
+    }
+
+    // Plan-order independence: the same rules with every body shuffled
+    // change the planner's tie-breaks (declared order) and so the join
+    // order, but never the derived fact sets.
+    Program permuted = program.value();
+    Rng shuffle_rng(seed + 7919);
+    for (Rule& rule : permuted.rules) {
+      for (size_t i = rule.body.size(); i > 1; --i) {
+        size_t j = static_cast<size_t>(
+            shuffle_rng.UniformInt(0, static_cast<int64_t>(i) - 1));
+        std::swap(rule.body[i - 1], rule.body[j]);
       }
+    }
+    for (const EvalOptions& opts : {oracle, EvalOptions()}) {
+      EvalOutput out = Evaluate(permuted, edb, opts);
+      EXPECT_EQ(out.SortedFacts(), expected_sorted);
+      EXPECT_EQ(out.stats.facts_derived, expected.stats.facts_derived);
     }
 
     // The naive-fixpoint oracle agrees on the fact set too.
@@ -130,8 +139,11 @@ TEST_P(OptimizerDifferential, GoalVisibleOutputIsBitIdentical) {
 /// a from-scratch re-evaluation of the mutated base — through the
 /// counting, monotone, recompute and threshold-fallback paths, with
 /// negation and aggregates always present via the fixed program tail.
-/// A default-threshold maintainer (which crosses into full rebuild on
-/// the stream's oversized batch) must agree too.
+/// The pure-incremental maintainer runs at two planner settings: the
+/// default, and composite indexes on every relation (min_index_size 1),
+/// so counting sweeps probe indexes on the delta, the updated store and
+/// the pre-batch snapshot. A default-threshold maintainer (which crosses
+/// into full rebuild on the stream's oversized batch) must agree too.
 /// 25 shards x 20 seeds = 500 programs.
 class IncrementalDifferential : public ::testing::TestWithParam<int> {};
 
@@ -162,13 +174,18 @@ TEST_P(IncrementalDifferential, MaintainedFixpointMatchesFromScratch) {
     ASSERT_TRUE(program.ok()) << program.status().message();
     std::vector<RelationDelta> stream = RandomDeltaStream(&rng, edb);
 
-    // Pure-incremental maintainer: the threshold never trips, so every
+    // Pure-incremental maintainers: the threshold never trips, so every
     // batch exercises the per-stratum delta machinery.
     DifferentialOptions inc_opts;
     inc_opts.max_delta_fraction = 1e9;
     DifferentialEvaluator diff(program.value(), inc_opts);
     ASSERT_TRUE(diff.Prepare().ok());
     ASSERT_TRUE(diff.Initialize(edb).ok());
+    DifferentialOptions idx_opts = inc_opts;
+    idx_opts.eval.planner = {.indexes = true, .min_index_size = 1};
+    DifferentialEvaluator idiff(program.value(), idx_opts);
+    ASSERT_TRUE(idiff.Prepare().ok());
+    ASSERT_TRUE(idiff.Initialize(edb).ok());
 
     // Default threshold: the oversized batch in every stream crosses
     // max_delta_fraction and takes the full-rebuild fallback.
@@ -177,18 +194,20 @@ TEST_P(IncrementalDifferential, MaintainedFixpointMatchesFromScratch) {
     ASSERT_TRUE(fdiff.Initialize(edb).ok());
 
     EvalOptions oracle;
-    oracle.planner = PlannerOptions{.indexes = false, .reorder = false};
+    oracle.planner = PlannerOptions{.indexes = false};
     std::map<std::string, std::set<Tuple>> base = BaseRows(edb);
     for (size_t b = 0; b < stream.size(); ++b) {
       SCOPED_TRACE("batch=" + std::to_string(b));
       ApplyDeltaToBase(stream[b], &base);
       ASSERT_TRUE(diff.ApplyDelta(stream[b]).ok());
+      ASSERT_TRUE(idiff.ApplyDelta(stream[b]).ok());
       ASSERT_TRUE(fdiff.ApplyDelta(stream[b]).ok());
 
       EvalOutput expected =
           Evaluate(program.value(), BaseToDatabase(base), oracle);
       auto expected_sorted = expected.SortedFacts();
       EXPECT_EQ(SortedFactsOf(diff.database()), expected_sorted);
+      EXPECT_EQ(SortedFactsOf(idiff.database()), expected_sorted);
       EXPECT_EQ(SortedFactsOf(fdiff.database()), expected_sorted);
     }
 
@@ -198,6 +217,7 @@ TEST_P(IncrementalDifferential, MaintainedFixpointMatchesFromScratch) {
     const DeltaStats& st = diff.lifetime_stats();
     EXPECT_EQ(st.applies, stream.size());
     EXPECT_EQ(st.full_fallbacks, 0u);
+    EXPECT_EQ(idiff.lifetime_stats().full_fallbacks, 0u);
     EXPECT_GT(st.strata_skipped + st.strata_counting + st.strata_monotone +
                   st.strata_recomputed,
               0u);
@@ -221,7 +241,7 @@ TEST(JoinPlannerDifferential, IndexedRunDoesLessJoinWork) {
   ASSERT_TRUE(program.ok());
 
   EvalOptions oracle;
-  oracle.planner = PlannerOptions{.indexes = false, .reorder = false};
+  oracle.planner = PlannerOptions{.indexes = false};
   EvalOutput scan = Evaluate(program.value(), edb, oracle);
   EXPECT_EQ(scan.stats.index_probes, 0u);
   EXPECT_EQ(scan.stats.index_builds, 0u);

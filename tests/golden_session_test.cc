@@ -2,9 +2,9 @@
 // deep-web property sources, seeded extraction errors) is wrangled by a
 // full WranglingSession bootstrap and the fused result relation is
 // compared against a canonical snapshot checked into tests/golden/.
-// Every planner configuration — oracle, indexes, reorder — must
-// reproduce the snapshot exactly, pinning down both the wrangling
-// semantics and the planner's output-preservation guarantee.
+// Every planner configuration — the full-scan oracle and indexes with a
+// tiny gate — must reproduce the snapshot exactly, pinning down both the
+// wrangling semantics and the planner's output-preservation guarantee.
 //
 // Regenerate the snapshot after an intentional semantic change with:
 //   VADA_UPDATE_GOLDEN=1 ./tests/golden_session_test
@@ -32,8 +32,8 @@ const char kGoldenFile[] = VADA_GOLDEN_DIR "/wrangled_result.txt";
 
 /// Canonical form of the result relation: one line per row, cells as
 /// unambiguous literals joined by '|', rows sorted. Sorting makes the
-/// snapshot independent of derivation order, which `reorder` is allowed
-/// to permute (the fact *set* is the guarantee, DESIGN.md §5f).
+/// snapshot independent of derivation order (the fact *set* is the
+/// guarantee, DESIGN.md §5f).
 std::vector<std::string> Canonicalize(const Relation& result) {
   std::vector<std::string> lines;
   lines.reserve(result.rows().size());
@@ -108,21 +108,14 @@ TEST(GoldenSessionTest, DemoScenarioMatchesGoldenUnderAllPlannerConfigs) {
   std::vector<Variant> variants;
   {
     Variant v;
-    v.name = "oracle (full scans, legacy order)";
-    v.config.planner = {.indexes = false, .reorder = false};
+    v.name = "oracle (full scans)";
+    v.config.planner = {.indexes = false};
     variants.push_back(v);
   }
   {
     Variant v;
     v.name = "indexes only, tiny gate";
-    v.config.planner = {.indexes = true, .reorder = false,
-                        .min_index_size = 1};
-    variants.push_back(v);
-  }
-  {
-    Variant v;
-    v.name = "reorder only";
-    v.config.planner = {.indexes = false, .reorder = true};
+    v.config.planner = {.indexes = true, .min_index_size = 1};
     variants.push_back(v);
   }
   for (const Variant& v : variants) {

@@ -113,6 +113,25 @@ TEST(HttpServerTest, ConcurrentClientsAllGetAnswers) {
   EXPECT_EQ(server.requests_served(), static_cast<uint64_t>(kClients));
 }
 
+// Stop() hands the listening socket back while the accept thread may
+// still be blocked on it; repeated Start/scrape/Stop cycles must neither
+// race on the fd (ThreadSanitizer) nor leave a cycle unanswered.
+TEST(HttpServerTest, RepeatedStartScrapeStopCycles) {
+  HttpServer server;
+  server.Handle("/healthz", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "ok\n";
+    return response;
+  });
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    SCOPED_TRACE(cycle);
+    ASSERT_TRUE(server.Start(0).ok());
+    EXPECT_EQ(Body(Get(server.port(), "/healthz")), "ok\n");
+    server.Stop();
+    EXPECT_FALSE(server.running());
+  }
+}
+
 // The full ObsContext wiring: /metrics, /healthz, /sessions and /trace
 // all answer, with the right content types and fresh data.
 TEST(ObsHttpTest, ContextServesAllIntrospectionRoutes) {

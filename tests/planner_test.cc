@@ -55,9 +55,6 @@ TEST(PlanBodyOrderTest, SmallerRelationGoesFirst) {
   }
   EXPECT_EQ(PlanBodyOrder(rule, &db, PlannerOptions()),
             (std::vector<size_t>{1, 0}));
-  // Legacy mode keeps the declared order (no bound terms anywhere).
-  EXPECT_EQ(PlanBodyOrder(rule, &db, PlannerOptions{.reorder = false}),
-            (std::vector<size_t>{0, 1}));
 }
 
 TEST(PlanBodyOrderTest, AllConstantAtomCostsZeroAndGoesFirst) {
@@ -100,10 +97,10 @@ TEST(PlanBodyOrderTest, FiltersHoistAsEarlyAsTheirVariablesAllow) {
   for (int i = 0; i < 50; ++i) db.Insert("b", Tuple({Value::Int(i)}));
   db.Insert("c", Tuple({Value::Int(3)}));
   // a(X) binds X; the comparison and negation run before the expensive
-  // b(Y) ever enumerates, in both planning modes.
+  // b(Y) ever enumerates, with or without cardinalities to consult.
   EXPECT_EQ(PlanBodyOrder(rule, &db, PlannerOptions()),
             (std::vector<size_t>{0, 2, 3, 1}));
-  EXPECT_EQ(PlanBodyOrder(rule, &db, PlannerOptions{.reorder = false}),
+  EXPECT_EQ(PlanBodyOrder(rule, nullptr, PlannerOptions()),
             (std::vector<size_t>{0, 2, 3, 1}));
 }
 

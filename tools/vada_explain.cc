@@ -55,8 +55,6 @@ int Usage(const char* argv0) {
       << "                  actual per-literal work (EXPLAIN ANALYZE)\n"
       << "  --json          print the plan as JSON instead of a text tree\n"
       << "  --no-indexes    plan without composite hash indexes\n"
-      << "  --no-reorder    keep the written literal order (no cost-based\n"
-      << "                  reordering)\n"
       << "  --goal=PRED     the query goal; enables goal-directed rewrites\n"
       << "                  with --optimize and static cardinality priors\n"
       << "  --optimize      run the dataflow ProgramOptimizer (constant\n"
@@ -89,8 +87,6 @@ int main(int argc, char** argv) {
       json = true;
     } else if (arg == "--no-indexes") {
       options.planner.indexes = false;
-    } else if (arg == "--no-reorder") {
-      options.planner.reorder = false;
     } else if (arg == "--optimize") {
       options.planner.optimize = true;
     } else if (arg.rfind("--goal=", 0) == 0) {
