@@ -11,6 +11,10 @@
 //     here so BENCH_columnar.json records wall-clock, join work and RSS
 //     in one artifact, plus tc_string_chain_256: a string-keyed join,
 //     the shape the row engine was slowest at and interning helps most.
+//
+// Every time is the median of kReps runs after kWarmup discarded ones;
+// BENCH_columnar.json records it under <name>_ms with the spread next to
+// it (<name>_ms_p10, _p90, _mad).
 #include <algorithm>
 #include <map>
 #include <string>
@@ -29,7 +33,6 @@ using datalog::EvalOptions;
 using datalog::EvalStats;
 using datalog::Evaluator;
 using datalog::Parser;
-using datalog::PlannerOptions;
 using datalog::Program;
 
 Database ChainDb(int n) {
@@ -64,24 +67,34 @@ Database StringJoinDb(int n) {
   return db;
 }
 
-struct Measured {
+// Few reps keep the bench-smoke CI step short.
+constexpr size_t kReps = 5;
+constexpr size_t kWarmup = 1;
+
+/// One evaluation of `program` over a fresh copy of `edb`.
+struct ProgramRun {
   double ms = 0;
   size_t work = 0;
   size_t results = 0;
 };
 
-Measured RunProgram(const Program& program, const Database& edb,
-                    const char* goal) {
-  Measured m;
+ProgramRun RunProgram(const Program& program, const Database& edb,
+                      const char* goal) {
+  ProgramRun r;
   Database db = edb;
   EvalStats stats;
-  EvalOptions opts;
-  Evaluator eval(program, opts);
-  if (!eval.Prepare().ok()) return m;
-  m.ms = TimeMs([&] { (void)eval.Run(&db, &stats); });
-  m.work = stats.join_probes + stats.index_probes + stats.index_candidates;
-  m.results = db.FactCount(goal);
-  return m;
+  Evaluator eval(program, EvalOptions());
+  if (!eval.Prepare().ok()) return r;
+  r.ms = TimeMs([&] { (void)eval.Run(&db, &stats); });
+  r.work = stats.join_probes + stats.index_probes + stats.index_candidates;
+  r.results = db.FactCount(goal);
+  return r;
+}
+
+/// "median [p10, p90]" in milliseconds.
+std::string FmtSpread(const Measurement& m) {
+  return Fmt(m.median, 1) + " [" + Fmt(m.p10, 1) + ", " + Fmt(m.p90, 1) +
+         "]";
 }
 
 }  // namespace
@@ -93,14 +106,16 @@ int main() {
   // ---------------------------------------------------------------
   // scenario_1000 end to end, with the per-transducer time split.
   // ---------------------------------------------------------------
+  // Join work, rows and the per-transducer split are deterministic;
+  // they are kept from the last rep.
   size_t join_work = 0;
   size_t result_rows = 0;
   std::map<std::string, double> per_transducer;
-  double scenario_ms = 0;
-  {
-    Scenario sc = MakeScenario(4000, 1000, 100);
+  Scenario sc = MakeScenario(4000, 1000, 100);
+  Status s;
+  Measurement scenario = Measure(kReps, kWarmup, [&] {
     WranglingSession session;
-    Status s = session.SetTargetSchema(PaperTargetSchema());
+    s = session.SetTargetSchema(PaperTargetSchema());
     if (s.ok()) s = session.AddSource(sc.rightmove);
     if (s.ok()) s = session.AddSource(sc.onthemarket);
     if (s.ok()) s = session.AddSource(sc.deprivation);
@@ -109,25 +124,30 @@ int main() {
                                  {{"street", "street"},
                                   {"postcode", "postcode"}});
     }
-    scenario_ms = TimeMs([&] {
+    double ms = TimeMs([&] {
       if (s.ok()) s = session.Run();
     });
-    if (!s.ok()) {
-      std::fprintf(stderr, "scenario: %s\n", s.ToString().c_str());
-      return 1;
-    }
+    if (!s.ok()) return ms;
     const obs::MetricsSnapshot snap = session.MetricsReport().snapshot;
     join_work = static_cast<size_t>(
         snap.Value("vada_datalog_join_probes") +
         snap.Value("vada_datalog_index_probes_total") +
         snap.Value("vada_datalog_index_candidates_total"));
     result_rows = session.result() != nullptr ? session.result()->size() : 0;
+    per_transducer.clear();
     for (const TraceEvent& e : session.trace().events()) {
       per_transducer[e.transducer] += e.duration_ms;
     }
+    return ms;
+  });
+  if (!s.ok()) {
+    std::fprintf(stderr, "scenario: %s\n", s.ToString().c_str());
+    return 1;
   }
-  std::printf("scenario_1000: %.0f ms, %zu result rows, %zu join work\n\n",
-              scenario_ms, result_rows, join_work);
+  std::printf(
+      "scenario_1000: %s ms (median [p10, p90] of %zu), %zu result rows, "
+      "%zu join work\n\n",
+      FmtSpread(scenario).c_str(), kReps, result_rows, join_work);
   Table split({"transducer", "ms"});
   std::vector<std::pair<std::string, double>> sorted(per_transducer.begin(),
                                                      per_transducer.end());
@@ -135,7 +155,7 @@ int main() {
             [](const auto& a, const auto& b) { return a.second > b.second; });
   for (const auto& [name, ms] : sorted) split.AddRow({name, Fmt(ms, 1)});
   split.Print();
-  report.Add("scenario_1000_ms", scenario_ms);
+  report.AddMeasurement("scenario_1000_ms", scenario);
   report.Add("scenario_1000_rows", static_cast<double>(result_rows));
   report.Add("scenario_1000_join_work", static_cast<double>(join_work));
 
@@ -160,15 +180,19 @@ int main() {
        StringJoinDb(256)},
   };
   std::printf("\n");
-  Table table({"workload", "results", "ms", "join work"});
+  Table table({"workload", "results", "ms [p10, p90]", "join work"});
   for (Workload& w : workloads) {
     Result<Program> program = Parser::Parse(w.program);
     if (!program.ok()) continue;
-    Measured m = RunProgram(program.value(), w.db, w.goal);
-    table.AddRow({w.name, std::to_string(m.results), Fmt(m.ms, 1),
-                  std::to_string(m.work)});
-    report.Add(w.name + "_ms", m.ms);
-    report.Add(w.name + "_work", static_cast<double>(m.work));
+    ProgramRun last;
+    Measurement m = Measure(kReps, kWarmup, [&] {
+      last = RunProgram(program.value(), w.db, w.goal);
+      return last.ms;
+    });
+    table.AddRow({w.name, std::to_string(last.results), FmtSpread(m),
+                  std::to_string(last.work)});
+    report.AddMeasurement(w.name + "_ms", m);
+    report.Add(w.name + "_work", static_cast<double>(last.work));
   }
   table.Print();
 

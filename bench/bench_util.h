@@ -1,7 +1,9 @@
 #ifndef VADA_BENCH_BENCH_UTIL_H_
 #define VADA_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -26,6 +28,44 @@ double TimeMs(Fn&& fn) {
   fn();
   auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
+
+/// Summary of repeated samples: the median with its spread.
+struct Measurement {
+  double median = 0;
+  double p10 = 0;
+  double p90 = 0;
+  double mad = 0;  ///< median absolute deviation from the median
+};
+
+/// Quantile `q` in [0, 1] of sorted `v`, linearly interpolated.
+inline double Quantile(const std::vector<double>& v, double q) {
+  if (v.empty()) return 0;
+  double at = q * static_cast<double>(v.size() - 1);
+  size_t lo = static_cast<size_t>(std::floor(at));
+  size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (at - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+/// Calls `fn` `warmup` times, discarding the results, then `reps` times,
+/// and summarizes the samples it returns. `fn` returns one sample (for
+/// example TimeMs over the part of a run worth timing), so per-rep
+/// setup stays out of the measurement.
+template <typename Fn>
+Measurement Measure(size_t reps, size_t warmup, Fn&& fn) {
+  for (size_t i = 0; i < warmup; ++i) (void)fn();
+  std::vector<double> sorted;
+  for (size_t i = 0; i < reps; ++i) sorted.push_back(fn());
+  std::sort(sorted.begin(), sorted.end());
+  Measurement m;
+  m.median = Quantile(sorted, 0.5);
+  m.p10 = Quantile(sorted, 0.1);
+  m.p90 = Quantile(sorted, 0.9);
+  std::vector<double> deviations;
+  for (double x : sorted) deviations.push_back(std::fabs(x - m.median));
+  std::sort(deviations.begin(), deviations.end());
+  m.mad = Quantile(deviations, 0.5);
+  return m;
 }
 
 /// Fixed-width table printer for experiment output.
@@ -91,6 +131,14 @@ class BenchReport {
 
   void Add(const std::string& key, double value) {
     entries_.push_back({key, value});
+  }
+
+  /// Records `m`'s median under `key`, plus `key`_p10/_p90/_mad.
+  void AddMeasurement(const std::string& key, const Measurement& m) {
+    Add(key, m.median);
+    Add(key + "_p10", m.p10);
+    Add(key + "_p90", m.p90);
+    Add(key + "_mad", m.mad);
   }
 
   /// Records `total_ms` over `iterations` as nanoseconds per operation.

@@ -6,12 +6,10 @@
 namespace vada::datalog {
 namespace {
 
-/// Approximate heap bytes of one unordered_map from a POD key to a
-/// row-index posting vector (the dedup table and the eager per-column
-/// indexes share this shape): node overhead, key/value pair, and each
-/// posting vector's payload.
-template <typename Map>
-size_t MapApproxBytes(const Map& map) {
+/// Approximate heap bytes of a dedup table (row hash -> row-index
+/// chain): node overhead, key/value pair, and each chain's payload.
+size_t DedupApproxBytes(
+    const std::unordered_map<uint64_t, std::vector<uint32_t>>& map) {
   size_t bytes = map.bucket_count() * sizeof(void*);
   for (const auto& [key, postings] : map) {
     bytes += sizeof(key) + sizeof(postings) + 2 * sizeof(void*);
@@ -34,18 +32,9 @@ const SymbolId* Database::View::column(size_t pos) const {
   return static_cast<const PredicateStore*>(store_)->columns[pos].data();
 }
 
-const std::vector<uint32_t>* Database::View::LookupId(size_t position,
-                                                      SymbolId id) const {
-  const auto* store = static_cast<const PredicateStore*>(store_);
-  if (position >= store->indexes.size()) return nullptr;
-  auto it = store->indexes[position].find(id);
-  if (it == store->indexes[position].end()) return nullptr;
-  return &it->second;
-}
-
 bool Database::View::ContainsIds(const SymbolId* ids) const {
   const auto* store = static_cast<const PredicateStore*>(store_);
-  auto it = store->dedup.find(RowHash(ids, store->arity));
+  auto it = store->dedup.find(HashIds(ids, store->arity));
   if (it == store->dedup.end()) return false;
   for (uint32_t row : it->second) {
     if (store->RowEquals(row, ids)) return true;
@@ -106,11 +95,10 @@ bool Database::InsertIds(const std::string& predicate, const SymbolId* ids,
     store.arity = n;
     store.arity_set = true;
     store.columns.resize(n);
-    store.indexes.resize(n);
   } else if (n != store.arity) {
     return false;
   }
-  uint64_t hash = RowHash(ids, n);
+  uint64_t hash = HashIds(ids, n);
   std::vector<uint32_t>& chain = store.dedup[hash];
   for (uint32_t row : chain) {
     if (store.RowEquals(row, ids)) return false;
@@ -118,7 +106,6 @@ bool Database::InsertIds(const std::string& predicate, const SymbolId* ids,
   uint32_t row = static_cast<uint32_t>(store.rows);
   for (size_t pos = 0; pos < n; ++pos) {
     store.columns[pos].push_back(ids[pos]);
-    store.indexes[pos][ids[pos]].push_back(row);
   }
   chain.push_back(row);
   ++store.rows;
@@ -183,8 +170,7 @@ size_t Database::ApproxBytes(const std::string& predicate) const {
   for (const auto& column : store.columns) {
     bytes += column.capacity() * sizeof(SymbolId);
   }
-  bytes += MapApproxBytes(store.dedup);
-  for (const auto& index : store.indexes) bytes += MapApproxBytes(index);
+  bytes += DedupApproxBytes(store.dedup);
   return bytes;
 }
 

@@ -15,16 +15,22 @@
 
 namespace vada::datalog {
 
+/// FNV-1a over a row of symbol ids: the one hash of an id row, shared by
+/// the dedup table and the composite index buckets.
+inline uint64_t HashIds(const SymbolId* ids, size_t n) {
+  uint64_t h = 1469598103934665603ULL;
+  for (size_t i = 0; i < n; ++i) {
+    h ^= ids[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 /// Hash functor over a composite index key (the symbol ids of the bound
 /// columns, in bound-position order).
 struct IdKeyHash {
   size_t operator()(const std::vector<SymbolId>& key) const {
-    uint64_t h = 1469598103934665603ULL;  // FNV-1a over the id words
-    for (SymbolId id : key) {
-      h ^= id;
-      h *= 1099511628211ULL;
-    }
-    return static_cast<size_t>(h);
+    return static_cast<size_t>(HashIds(key.data(), key.size()));
   }
 };
 
@@ -46,10 +52,10 @@ struct BoundIndex {
 /// Fact storage for the Datalog engine, columnar over the process-wide
 /// SymbolTable (DESIGN.md §5j): each predicate stores one uint32 symbol
 /// id vector per column, in insertion order, plus a row-level dedup
-/// table, eager per-column id indexes, and lazy composite indexes per
-/// (predicate, bound-position-set) so joins can seek on their whole
-/// bound prefix. The evaluator's probe loops run entirely on ids;
-/// `facts()` materializes Values only at the KB/provenance boundary.
+/// table; lazy composite indexes per (predicate, bound-position-set) let
+/// joins probe on their whole bound prefix. The evaluator's probe loops
+/// run entirely on ids; `facts()` materializes Values only at the
+/// KB/provenance boundary.
 /// Tuples of one predicate must share an arity (checked).
 ///
 /// A database can additionally *borrow* predicates from immutable shared
@@ -113,10 +119,6 @@ class Database {
     /// Column `pos` as a dense id vector of length rows().
     /// Pre-condition: pos < arity().
     const SymbolId* column(size_t pos) const;
-    /// Insertion-order indexes of facts whose column `position` equals
-    /// `id`; nullptr when the position is out of range or nothing
-    /// matches (the eager single-column seek path).
-    const std::vector<uint32_t>* LookupId(size_t position, SymbolId id) const;
     /// Whether the fact with exactly these ids (length must equal
     /// arity()) is stored.
     bool ContainsIds(const SymbolId* ids) const;
@@ -152,10 +154,10 @@ class Database {
   size_t TotalFacts() const;
 
   /// Approximate resident bytes of one owned predicate's columnar
-  /// storage (id columns, dedup table, eager per-column indexes); 0 for
-  /// unknown or borrowed predicates — borrowed storage is owned (and
-  /// counted) by the snapshot database. Symbol payloads (the strings
-  /// behind the ids) live in the shared SymbolTable and are reported by
+  /// storage (id columns and dedup table); 0 for unknown or borrowed
+  /// predicates — borrowed storage is owned (and counted) by the
+  /// snapshot database. Symbol payloads (the strings behind the ids)
+  /// live in the shared SymbolTable and are reported by
   /// `vada_symtab_bytes`, not here.
   size_t ApproxBytes(const std::string& predicate) const;
 
@@ -188,8 +190,6 @@ class Database {
     /// Row-level dedup: 64-bit row hash -> insertion-order row indexes
     /// (chained; collisions resolved by comparing the id row).
     std::unordered_map<uint64_t, std::vector<uint32_t>> dedup;
-    /// Eager single-column indexes: per position, id -> row indexes.
-    std::vector<std::unordered_map<SymbolId, std::vector<uint32_t>>> indexes;
 
     bool RowEquals(uint32_t row, const SymbolId* ids) const {
       for (size_t pos = 0; pos < arity; ++pos) {
@@ -215,15 +215,6 @@ class Database {
     std::map<std::string, std::map<std::vector<size_t>, BoundIndex>> entries
         VADA_GUARDED_BY(mutex);
   };
-
-  static uint64_t RowHash(const SymbolId* ids, size_t n) {
-    uint64_t h = 1469598103934665603ULL;
-    for (size_t i = 0; i < n; ++i) {
-      h ^= ids[i];
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
 
   /// Owned store if present, else borrowed store, else nullptr.
   const PredicateStore* Find(const std::string& predicate) const;

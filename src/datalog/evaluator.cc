@@ -228,20 +228,15 @@ void EvaluateAggregateRule(const CompiledRule& rule, const Database& db,
 // asks for a plan; Run() never touches any of this.
 // ---------------------------------------------------------------------------
 
-/// Predicts the access path SelectCandidates will choose for `lit`
-/// against `db` (the stratum-start state). Delta-restricted recursive
-/// occurrences resolve against the round's delta at run time and may
-/// differ; ANALYZE's actual counters capture that.
-std::string PredictAccess(const CompiledLiteral& lit, const Database* db,
+/// The access path SelectCandidates takes for `lit`. It depends only on
+/// the compiled bound prefix and the planner options, never on
+/// cardinality, so the prediction is exact.
+std::string PredictAccess(const CompiledLiteral& lit,
                           const PlannerOptions& planner) {
   switch (lit.kind) {
     case Literal::Kind::kAtom:
       if (lit.bound_positions.empty() || !planner.indexes) return "scan";
-      if (db != nullptr &&
-          db->FactCount(lit.atom.predicate) >= planner.min_index_size) {
-        return "index";
-      }
-      return "seek";
+      return "index";
     case Literal::Kind::kNegatedAtom:
       return "check";
     case Literal::Kind::kComparison:
@@ -265,7 +260,7 @@ const char* LiteralKindName(Literal::Kind kind) {
   return "?";
 }
 
-RuleExplain BuildRuleExplain(const CompiledRule& rule, const Database* db,
+RuleExplain BuildRuleExplain(const CompiledRule& rule,
                              const PlannerOptions& planner) {
   RuleExplain out;
   out.text = rule.text;
@@ -281,7 +276,7 @@ RuleExplain BuildRuleExplain(const CompiledRule& rule, const Database* db,
     le.bound_positions = lit.bound_positions;
     le.estimated_cost = lit.estimated_cost;
     le.static_prior = lit.static_prior;
-    le.access = PredictAccess(lit, db, planner);
+    le.access = PredictAccess(lit, planner);
     out.literals.push_back(std::move(le));
   }
   return out;
@@ -412,7 +407,7 @@ Status Evaluator::Explain(Database* db, PlanExplain* out, bool analyze,
       if (stratum_preds.count(r.head.predicate) == 0) continue;
       RuleCompiler compiler(stratum_preds, db, options_.planner);
       CompiledRule cr = compiler.Compile(r);
-      RuleExplain rex = BuildRuleExplain(cr, db, options_.planner);
+      RuleExplain rex = BuildRuleExplain(cr, options_.planner);
       if (rex.aggregate) {
         sx.rules.push_back(std::move(rex));
       } else {
@@ -470,12 +465,11 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
       sx.rules.reserve(aggregate_rules.size() + normal_rules.size());
       for (size_t i = 0; i < aggregate_rules.size(); ++i) {
         sx.rules.push_back(
-            BuildRuleExplain(aggregate_rules[i], db, options_.planner));
+            BuildRuleExplain(aggregate_rules[i], options_.planner));
         agg_rex[i] = &sx.rules.back();
       }
       for (size_t i = 0; i < normal_rules.size(); ++i) {
-        sx.rules.push_back(
-            BuildRuleExplain(normal_rules[i], db, options_.planner));
+        sx.rules.push_back(BuildRuleExplain(normal_rules[i], options_.planner));
         normal_rex[i] = &sx.rules.back();
       }
     }
@@ -666,7 +660,7 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
         ->Increment(st->iterations);
     m->GetCounter("vada_datalog_join_probes",
                   "Candidate facts scanned by non-indexed body atoms "
-                  "(full scans and single-column seeks)")
+                  "(full scans)")
         ->Increment(st->join_probes);
     m->GetCounter("vada_datalog_index_probes_total",
                   "Composite hash-index lookups by body atoms")

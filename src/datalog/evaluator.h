@@ -41,8 +41,8 @@ struct EvalOptions {
 /// Counters describing one evaluation run.
 ///
 /// Join work is split by resolution strategy (DESIGN.md §5b):
-/// `join_probes` counts candidate facts *scanned* by body atoms that
-/// had no composite index (full scans and single-column seeks), while
+/// `join_probes` counts candidate facts *scanned* by body atoms with no
+/// bound prefix or with indexes disabled (full scans), while
 /// `index_probes`/`index_candidates` count composite hash lookups and
 /// the exact-match facts they enumerated. Total join work is
 /// join_probes + index_probes + index_candidates.

@@ -46,12 +46,9 @@ struct LiteralExplain {
   /// to the actual counters so inferred and observed numbers can be
   /// compared side by side.
   size_t static_prior = 0;
-  /// Predicted access path against the stratum-start database:
-  /// "index" (composite bound-prefix hash index), "seek" (eager
-  /// single-column index), "scan" (full relation), "check" (negation
-  /// containment test), "filter" (comparison/assignment). Delta-
-  /// restricted recursive occurrences may resolve differently at run
-  /// time; the actual counters below tell the true story.
+  /// Access path: "index" (composite bound-prefix hash index), "scan"
+  /// (full relation), "check" (negation containment test), "filter"
+  /// (comparison/assignment).
   std::string access;
   /// EXPLAIN ANALYZE only; all-zero in a plain EXPLAIN.
   LiteralRuntime actual;

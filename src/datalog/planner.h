@@ -27,11 +27,6 @@ struct PlannerOptions {
   /// bound prefix of each body atom instead of scanning candidates.
   /// false: atoms are resolved by full scans (the oracle path).
   bool indexes = true;
-  /// Relations with fewer facts than this are scanned rather than
-  /// indexed: building a hash table over a handful of tuples costs more
-  /// than the scan it would save (deltas of semi-naive rounds are
-  /// usually below this).
-  size_t min_index_size = 32;
   /// Run the dataflow ProgramOptimizer (constant folding, dead/
   /// unreachable-rule elimination, magic-set specialization toward the
   /// query goal) before evaluation, and seed `priors` from the static

@@ -519,10 +519,10 @@ class RuleExecutor {
   };
 
   /// Chooses how the atom at body position `index` enumerates facts:
-  /// composite bound-prefix index when enabled and the relation is large
-  /// enough, single-column seek on the first bound position otherwise,
   /// full scan when nothing is bound or indexes are disabled (the
-  /// differential oracle). `lit.bound_positions` is static, but it
+  /// differential oracle), otherwise a probe of the composite index over
+  /// the bound prefix. An unknown predicate or an out-of-range position
+  /// has no index and is a miss. `lit.bound_positions` is static, but it
   /// equals the runtime binding state here because execution follows
   /// the compiled order: atoms bind every variable they mention and
   /// assignments always bind theirs.
@@ -530,47 +530,34 @@ class RuleExecutor {
                               const Database& source) {
     Candidates out;
     out.view = source.view(lit.atom.predicate);
-    size_t total = out.view.valid() ? out.view.rows() : 0;
     if (lit.bound_positions.empty() || !planner_.indexes) {
-      out.count = total;  // full scan (also the indexes=false oracle)
+      // Full scan (also the indexes=false oracle).
+      out.count = out.view.valid() ? out.view.rows() : 0;
       return out;
     }
     LitIndex& cached = lit_index_[index];
-    if (cached.state == LitIndex::kUnknown) {
-      cached.state = LitIndex::kUnavailable;
-      if (total >= planner_.min_index_size) {
-        cached.index = source.EnsureBoundIndex(
-            lit.atom.predicate, lit.bound_positions, &work_.index_builds);
-        if (cached.index != nullptr) cached.state = LitIndex::kReady;
-      }
+    if (!cached.resolved) {
+      cached.resolved = true;
+      cached.index = source.EnsureBoundIndex(
+          lit.atom.predicate, lit.bound_positions, &work_.index_builds);
     }
-    if (cached.state == LitIndex::kReady) {
-      out.via_index = true;
-      // The probe key is a handful of uint32s — hashed without touching
-      // a single Value (the point of the columnar layout, DESIGN.md §5j).
-      key_scratch_.clear();
-      for (size_t pos : lit.bound_positions) {
-        key_scratch_.push_back(TermId(lit.atom.terms[pos]));
-      }
-      auto it = cached.index->buckets.find(key_scratch_);
-      if (it == cached.index->buckets.end()) {
-        out.miss = true;
-        return out;
-      }
-      out.list = &it->second;
-      out.count = out.list->size();
-      return out;
-    }
-    // Small relation: the eager single-column index on the first bound
-    // position is cheaper than building a composite index.
-    size_t pos = lit.bound_positions[0];
-    out.list = out.view.valid()
-                   ? out.view.LookupId(pos, TermId(lit.atom.terms[pos]))
-                   : nullptr;
-    if (out.list == nullptr) {
+    if (cached.index == nullptr) {
       out.miss = true;
       return out;
     }
+    out.via_index = true;
+    // The probe key is a handful of uint32s — hashed without touching
+    // a single Value (the point of the columnar layout, DESIGN.md §5j).
+    key_scratch_.clear();
+    for (size_t pos : lit.bound_positions) {
+      key_scratch_.push_back(TermId(lit.atom.terms[pos]));
+    }
+    auto it = cached.index->buckets.find(key_scratch_);
+    if (it == cached.index->buckets.end()) {
+      out.miss = true;
+      return out;
+    }
+    out.list = &it->second;
     out.count = out.list->size();
     return out;
   }
@@ -638,11 +625,11 @@ class RuleExecutor {
     }
   }
 
-  /// Per-literal memo of the composite-index decision, so the index map
-  /// lookup (and its mutex) is paid once per execution, not per probe.
+  /// Per-literal memo of the composite-index lookup, so the index map
+  /// (and its mutex) is paid once per execution, not per probe. A
+  /// resolved null index is a predicate or position with no index.
   struct LitIndex {
-    enum State { kUnknown = 0, kUnavailable, kReady };
-    State state = kUnknown;
+    bool resolved = false;
     const BoundIndex* index = nullptr;
   };
 

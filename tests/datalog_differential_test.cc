@@ -2,7 +2,7 @@
 //
 // Each case generates a random program + database from a seed and
 // evaluates it under every planner configuration. The oracle is the
-// full-scan path ({indexes = false}); the indexed paths must reproduce
+// full-scan path ({indexes = false}); the indexed default must reproduce
 // the oracle's facts row for row (index buckets keep insertion order),
 // and a body-literal-permuted copy of the program — which the planner
 // orders differently — must derive the same fact sets.
@@ -45,28 +45,13 @@ TEST_P(JoinPlannerDifferential, AllPlannerConfigsAgreeOnRandomPrograms) {
     EvalOutput expected = Evaluate(program.value(), edb, oracle);
     auto expected_sorted = expected.SortedFacts();
 
-    struct Config {
-      const char* name;
-      PlannerOptions planner;
-    };
-    // min_index_size 1 forces composite indexes onto even the tiny
-    // relations this generator makes; the default-32 config covers the
-    // single-column fallback path instead.
-    const Config configs[] = {
-        {"indexes", {.indexes = true, .min_index_size = 1}},
-        {"indexes-default-gate", {.indexes = true, .min_index_size = 32}},
-    };
-    for (const Config& config : configs) {
-      SCOPED_TRACE(config.name);
-      EvalOptions opts;
-      opts.planner = config.planner;
-      EvalOutput indexed = Evaluate(program.value(), edb, opts);
-      EXPECT_EQ(indexed.SortedFacts(), expected_sorted);
-      EXPECT_EQ(indexed.stats.facts_derived, expected.stats.facts_derived);
-      // `indexes` never permutes rows: buckets keep insertion order, so
-      // probing enumerates exactly what a scan would.
-      EXPECT_EQ(indexed.facts, expected.facts);
-    }
+    // Default planner: every bound atom probes its composite index.
+    EvalOutput indexed = Evaluate(program.value(), edb, EvalOptions());
+    EXPECT_EQ(indexed.SortedFacts(), expected_sorted);
+    EXPECT_EQ(indexed.stats.facts_derived, expected.stats.facts_derived);
+    // `indexes` never permutes rows: buckets keep insertion order, so
+    // probing enumerates exactly what a scan would.
+    EXPECT_EQ(indexed.facts, expected.facts);
 
     // Plan-order independence: the same rules with every body shuffled
     // change the planner's tie-breaks (declared order) and so the join
@@ -139,11 +124,11 @@ TEST_P(OptimizerDifferential, GoalVisibleOutputIsBitIdentical) {
 /// a from-scratch re-evaluation of the mutated base — through the
 /// counting, monotone, recompute and threshold-fallback paths, with
 /// negation and aggregates always present via the fixed program tail.
-/// The pure-incremental maintainer runs at two planner settings: the
-/// default, and composite indexes on every relation (min_index_size 1),
-/// so counting sweeps probe indexes on the delta, the updated store and
-/// the pre-batch snapshot. A default-threshold maintainer (which crosses
-/// into full rebuild on the stream's oversized batch) must agree too.
+/// The pure-incremental maintainer runs at the default planner, so
+/// counting sweeps probe composite indexes on the delta, the updated
+/// store and the pre-batch snapshot. A default-threshold maintainer
+/// (which crosses into full rebuild on the stream's oversized batch)
+/// must agree too.
 /// 25 shards x 20 seeds = 500 programs.
 class IncrementalDifferential : public ::testing::TestWithParam<int> {};
 
@@ -174,18 +159,13 @@ TEST_P(IncrementalDifferential, MaintainedFixpointMatchesFromScratch) {
     ASSERT_TRUE(program.ok()) << program.status().message();
     std::vector<RelationDelta> stream = RandomDeltaStream(&rng, edb);
 
-    // Pure-incremental maintainers: the threshold never trips, so every
+    // Pure-incremental maintainer: the threshold never trips, so every
     // batch exercises the per-stratum delta machinery.
     DifferentialOptions inc_opts;
     inc_opts.max_delta_fraction = 1e9;
     DifferentialEvaluator diff(program.value(), inc_opts);
     ASSERT_TRUE(diff.Prepare().ok());
     ASSERT_TRUE(diff.Initialize(edb).ok());
-    DifferentialOptions idx_opts = inc_opts;
-    idx_opts.eval.planner = {.indexes = true, .min_index_size = 1};
-    DifferentialEvaluator idiff(program.value(), idx_opts);
-    ASSERT_TRUE(idiff.Prepare().ok());
-    ASSERT_TRUE(idiff.Initialize(edb).ok());
 
     // Default threshold: the oversized batch in every stream crosses
     // max_delta_fraction and takes the full-rebuild fallback.
@@ -200,14 +180,12 @@ TEST_P(IncrementalDifferential, MaintainedFixpointMatchesFromScratch) {
       SCOPED_TRACE("batch=" + std::to_string(b));
       ApplyDeltaToBase(stream[b], &base);
       ASSERT_TRUE(diff.ApplyDelta(stream[b]).ok());
-      ASSERT_TRUE(idiff.ApplyDelta(stream[b]).ok());
       ASSERT_TRUE(fdiff.ApplyDelta(stream[b]).ok());
 
       EvalOutput expected =
           Evaluate(program.value(), BaseToDatabase(base), oracle);
       auto expected_sorted = expected.SortedFacts();
       EXPECT_EQ(SortedFactsOf(diff.database()), expected_sorted);
-      EXPECT_EQ(SortedFactsOf(idiff.database()), expected_sorted);
       EXPECT_EQ(SortedFactsOf(fdiff.database()), expected_sorted);
     }
 
@@ -217,7 +195,6 @@ TEST_P(IncrementalDifferential, MaintainedFixpointMatchesFromScratch) {
     const DeltaStats& st = diff.lifetime_stats();
     EXPECT_EQ(st.applies, stream.size());
     EXPECT_EQ(st.full_fallbacks, 0u);
-    EXPECT_EQ(idiff.lifetime_stats().full_fallbacks, 0u);
     EXPECT_GT(st.strata_skipped + st.strata_counting + st.strata_monotone +
                   st.strata_recomputed,
               0u);
@@ -227,8 +204,8 @@ TEST_P(IncrementalDifferential, MaintainedFixpointMatchesFromScratch) {
 }
 
 /// Indexed evaluation must replace scan work, not duplicate it: on a
-/// join wide enough to clear the index gate, total candidate work drops
-/// and the counters attribute it to the right strategy.
+/// wide join, total candidate work drops and the counters attribute it
+/// to the right strategy.
 TEST(JoinPlannerDifferential, IndexedRunDoesLessJoinWork) {
   Rng rng(7);
   Database edb;

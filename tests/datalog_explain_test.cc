@@ -65,7 +65,7 @@ TEST(ExplainTest, PlainExplainShowsPlanWithoutEvaluating) {
   const LiteralExplain& probe = recursive.literals[1];
   EXPECT_EQ(probe.body_index, 0u);
   EXPECT_EQ(probe.bound_positions, std::vector<size_t>{1});  // Y is col 1
-  EXPECT_EQ(probe.access, "index");  // 64 facts >= min_index_size
+  EXPECT_EQ(probe.access, "index");
   // The bound estimate must beat a full scan of the 64 edges.
   EXPECT_GT(probe.estimated_cost, 0u);
   EXPECT_LT(probe.estimated_cost, 64u);
@@ -80,6 +80,44 @@ TEST(ExplainTest, PlainExplainShowsPlanWithoutEvaluating) {
   EXPECT_NE(plan.ToText().find("access=index"), std::string::npos);
   std::string error;
   EXPECT_TRUE(obs::JsonLint(plan.ToJson(), &error)) << error;
+}
+
+// The access prediction depends only on the bound prefix, never on
+// cardinality, so it holds for small relations too and ANALYZE confirms
+// it literal by literal.
+TEST(ExplainTest, AccessPredictionIsExactOnSmallRelations) {
+  Database db;
+  db.LoadRelation(MakeEdges("edge", 8));
+  Evaluator eval = MakeEvaluator(kTransitiveClosure);
+  ASSERT_TRUE(eval.Prepare().ok());
+
+  PlanExplain plain;
+  ASSERT_TRUE(eval.Explain(&db, &plain).ok());
+  ASSERT_EQ(plain.strata.size(), 1u);
+  ASSERT_EQ(plain.strata[0].rules.size(), 2u);
+  const RuleExplain& recursive = plain.strata[0].rules[1];
+  ASSERT_EQ(recursive.literals.size(), 2u);
+  EXPECT_EQ(recursive.literals[1].text, "edge(X, Y)");
+  EXPECT_EQ(recursive.literals[1].access, "index");
+
+  PlanExplain analyzed;
+  ASSERT_TRUE(eval.Explain(&db, &analyzed, /*analyze=*/true).ok());
+  EXPECT_EQ(db.FactCount("tc"), 8u * 8u);
+  size_t indexed = 0;
+  for (const StratumExplain& stratum : analyzed.strata) {
+    for (const RuleExplain& rule : stratum.rules) {
+      for (const LiteralExplain& lit : rule.literals) {
+        SCOPED_TRACE(rule.text + " / " + lit.text);
+        if (lit.access == "index") {
+          ++indexed;
+          EXPECT_GT(lit.actual.index_probes, 0u);
+        } else if (lit.access == "scan") {
+          EXPECT_EQ(lit.actual.index_probes, 0u);
+        }
+      }
+    }
+  }
+  EXPECT_GT(indexed, 0u);
 }
 
 // The reconciliation invariant: EXPLAIN ANALYZE's per-literal actuals,
