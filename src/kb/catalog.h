@@ -1,8 +1,11 @@
 #ifndef VADA_KB_CATALOG_H_
 #define VADA_KB_CATALOG_H_
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,6 +24,9 @@ enum class RelationRole {
   kMetadata,        ///< transducer-produced metadata (matches, metrics, ...)
   kResult,          ///< wrangled result instances
 };
+
+constexpr size_t kRelationRoleCount =
+    static_cast<size_t>(RelationRole::kResult) + 1;
 
 const char* RelationRoleName(RelationRole role);
 
@@ -53,6 +59,16 @@ class Catalog {
   /// Relation names with the given role, sorted.
   std::vector<std::string> RelationsWithRole(RelationRole role) const;
 
+  /// Membership counter of `role`: moves on every effective SetRole or
+  /// Remove that changes who has `role`, and on every Restore.
+  uint64_t role_version(RelationRole role) const {
+    return role_versions_[static_cast<size_t>(role)];
+  }
+
+  /// While non-null, RelationsWithRole adds its role to `*log` and
+  /// GetRole adds every role (any may gain the relation). Not owned.
+  void SetReadLog(std::set<RelationRole>* log) { read_log_ = log; }
+
   /// True if `relation_name` provides data-context information
   /// (reference, master or example role).
   bool IsDataContext(const std::string& relation_name) const;
@@ -63,11 +79,14 @@ class Catalog {
   std::map<std::string, RelationRole> Snapshot() const { return roles_; }
   void Restore(std::map<std::string, RelationRole> roles) {
     roles_ = std::move(roles);
+    for (uint64_t& v : role_versions_) ++v;
   }
 
  private:
   std::map<std::string, RelationRole> roles_;
+  std::array<uint64_t, kRelationRoleCount> role_versions_{};
   CatalogListener* listener_ = nullptr;  // not owned
+  std::set<RelationRole>* read_log_ = nullptr;  // not owned
 };
 
 }  // namespace vada

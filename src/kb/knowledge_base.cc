@@ -26,6 +26,15 @@ void KnowledgeBase::Bump(const std::string& name) {
 
 void KnowledgeBase::WillMutate(const std::string& name) {
   if (guard_ != nullptr) guard_->OnMutation(name);
+  if (read_log_ != nullptr) {
+    auto it = versions_.find(name);
+    read_log_->overwritten.emplace(name,
+                                   it == versions_.end() ? 0 : it->second);
+  }
+}
+
+void KnowledgeBase::NoteRead(const std::string& name) const {
+  if (read_log_ != nullptr) read_log_->relations.insert(name);
 }
 
 Status KnowledgeBase::CreateRelation(Schema schema) {
@@ -56,10 +65,12 @@ Status KnowledgeBase::EnsureRelation(const Schema& schema) {
 }
 
 bool KnowledgeBase::HasRelation(const std::string& name) const {
+  NoteRead(name);
   return relations_.count(name) > 0;
 }
 
 const Relation* KnowledgeBase::FindRelation(const std::string& name) const {
+  NoteRead(name);
   auto it = relations_.find(name);
   return it == relations_.end() ? nullptr : &it->second;
 }
@@ -229,6 +240,7 @@ Status KnowledgeBase::ReplaceRelation(const Relation& relation) {
 
 Status KnowledgeBase::ReplaceRelationIfChanged(const Relation& relation,
                                                bool* changed) {
+  NoteRead(relation.name());
   auto it = relations_.find(relation.name());
   if (it != relations_.end() && it->second.schema() == relation.schema() &&
       it->second.size() == relation.size()) {
@@ -245,10 +257,19 @@ Status KnowledgeBase::ReplaceRelationIfChanged(const Relation& relation,
     }
   }
   if (changed != nullptr) *changed = true;
-  return ReplaceRelation(relation);
+  // A re-run writes the same rows, so this write is the read above (at
+  // its post-step version), not an overwrite that re-runs the step.
+  const bool overwritten = read_log_ != nullptr &&
+                           read_log_->overwritten.count(relation.name()) > 0;
+  VADA_RETURN_IF_ERROR(ReplaceRelation(relation));
+  if (!overwritten && read_log_ != nullptr) {
+    read_log_->overwritten.erase(relation.name());
+  }
+  return Status::OK();
 }
 
 uint64_t KnowledgeBase::relation_version(const std::string& name) const {
+  NoteRead(name);
   auto it = versions_.find(name);
   return it == versions_.end() ? 0 : it->second;
 }
@@ -260,6 +281,7 @@ size_t KnowledgeBase::TotalRows() const {
 }
 
 std::vector<std::string> KnowledgeBase::RelationNames() const {
+  if (read_log_ != nullptr) read_log_->whole_kb = true;
   std::vector<std::string> out;
   out.reserve(relations_.size());
   for (const auto& [name, rel] : relations_) out.push_back(name);

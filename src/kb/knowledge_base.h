@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,9 +27,22 @@ class WriteGuard;
 /// global version. The orchestrator uses versions to decide when a
 /// transducer's input dependencies may have newly become satisfiable,
 /// which is how "a transducer ... becomes available for execution when
-/// that data is available in the knowledge base" is realised.
+/// that data is available in the knowledge base" is realised, and — via
+/// the read log — when the inputs a transducer read have moved.
 class KnowledgeBase {
  public:
+  /// What one transducer step touched while attached with SetReadLog
+  /// (the orchestrator's read-set gate, DESIGN.md §5e).
+  struct ReadLog {
+    /// Read by FindRelation, GetRelation, HasRelation, relation_version,
+    /// NoteRead or ReplaceRelationIfChanged's comparison.
+    std::set<std::string> relations;
+    /// Changed other than by ReplaceRelationIfChanged: version before.
+    std::map<std::string, uint64_t> overwritten;
+    std::set<RelationRole> roles;  ///< read through the catalog
+    bool whole_kb = false;         ///< RelationNames() was called
+  };
+
   KnowledgeBase() = default;
 
   // Not copyable (relations can be large; copies are almost always bugs).
@@ -87,6 +101,9 @@ class KnowledgeBase {
 
   /// Version counters: 0 for unknown relations; bumped on every mutation.
   uint64_t relation_version(const std::string& name) const;
+  /// Logs a read of `name` without reading it, for a step that uses
+  /// state the relation mirrors (a delta-log range, session state).
+  void NoteRead(const std::string& name) const;
   uint64_t global_version() const { return global_version_; }
 
   /// Monotonic lifetime mutation counters. Observability layers diff them
@@ -126,6 +143,12 @@ class KnowledgeBase {
   void AttachDeltaLog(DeltaLog* delta_log);
   DeltaLog* delta_log() const { return delta_log_; }
 
+  /// Attaches (nullptr: detaches) the step's read log. Not owned.
+  void SetReadLog(ReadLog* log) {
+    read_log_ = log;
+    catalog_.SetReadLog(log != nullptr ? &log->roles : nullptr);
+  }
+
  private:
   friend class WriteGuard;
 
@@ -145,6 +168,7 @@ class KnowledgeBase {
   WriteGuard* guard_ = nullptr;  // active transaction guard; not owned
   DurabilityManager* durability_ = nullptr;  // WAL hook; not owned
   DeltaLog* delta_log_ = nullptr;  // incremental-consumer hook; not owned
+  ReadLog* read_log_ = nullptr;    // read-set gate hook; not owned
 };
 
 }  // namespace vada

@@ -28,9 +28,10 @@ WriteGuard::~WriteGuard() {
 void WriteGuard::OnMutation(const std::string& relation) {
   auto it = touched_.find(relation);
   if (it != touched_.end()) return;  // pre-image already saved
-  const Relation* rel = kb_->FindRelation(relation);
-  if (rel != nullptr) {
-    touched_.emplace(relation, *rel);
+  // Straight to the map: a pre-image is not a read of the step's.
+  auto rel = kb_->relations_.find(relation);
+  if (rel != kb_->relations_.end()) {
+    touched_.emplace(relation, rel->second);
   } else {
     touched_.emplace(relation, std::nullopt);
   }

@@ -64,6 +64,7 @@ Result<Relation> MappingExecutor::ExecuteIncremental(
   datalog::RelationDelta delta;
   if (reusable) {
     for (const std::string& source : mapping.source_relations) {
+      kb.NoteRead(source);  // the delta stands in for reading the source
       std::optional<DeltaLog::RelationDelta> d =
           log.Since(source, state->kb_version);
       if (!d.has_value()) {

@@ -230,6 +230,17 @@ Result<bool> NetworkTransducer::CheckDependency(Dependency* dep,
   return ready;
 }
 
+bool NetworkTransducer::LastRun::Current(const KnowledgeBase& kb) const {
+  if (global_version.has_value()) return *global_version >= kb.global_version();
+  for (const auto& [name, version] : relations) {
+    if (kb.relation_version(name) != version) return false;
+  }
+  for (const auto& [role, version] : roles) {
+    if (kb.catalog().role_version(role) != version) return false;
+  }
+  return true;
+}
+
 Result<bool> NetworkTransducer::IsSatisfied(const Transducer& transducer,
                                             KnowledgeBase* kb) {
   VADA_RETURN_IF_ERROR(SyncControlFactsIfStale(kb));
@@ -239,6 +250,30 @@ Result<bool> NetworkTransducer::IsSatisfied(const Transducer& transducer,
   Result<bool> ready = CheckDependency(dep.value(), *kb, &hit);
   if (!ready.ok()) return DependencyError(transducer, ready.status());
   return ready;
+}
+
+Result<NetworkTransducer::Eligibility> NetworkTransducer::ExplainEligibility(
+    const Transducer& transducer, KnowledgeBase* kb) {
+  VADA_RETURN_IF_ERROR(SyncControlFactsIfStale(kb));
+  Eligibility out;
+  const FailureState* fs = failure_state(transducer.name());
+  if (fs != nullptr && fs->circuit == Circuit::kOpen) {
+    out.reason = Eligibility::Reason::kQuarantined;
+    return out;
+  }
+  const bool probation = fs != nullptr && (fs->circuit == Circuit::kHalfOpen ||
+                                           fs->retry_scheduled);
+  auto it = last_run_.find(transducer.name());
+  if (!probation && it != last_run_.end() && it->second.Current(*kb)) {
+    out.reason = Eligibility::Reason::kInputsUnchanged;
+    out.reads = it->second.relations;
+    return out;
+  }
+  Result<bool> ready = IsSatisfied(transducer, kb);
+  if (!ready.ok()) return ready.status();
+  out.reason = ready.value() ? Eligibility::Reason::kCandidate
+                             : Eligibility::Reason::kDependencyNotReady;
+  return out;
 }
 
 std::vector<std::string> NetworkTransducer::QuarantinedTransducers() const {
@@ -351,6 +386,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
   obs::Counter* effective_counter = nullptr;
   obs::Counter* dep_checks_counter = nullptr;
   obs::Counter* memo_hits_counter = nullptr;
+  obs::Counter* read_set_skips_counter = nullptr;
   obs::Histogram* eligibility_hist = nullptr;
   obs::Histogram* rollback_hist = nullptr;
   if (m != nullptr) {
@@ -364,6 +400,9 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
     memo_hits_counter = m->GetCounter(
         "vada_orchestrator_dependency_memo_hits",
         "Dependency checks answered from the memo without evaluation");
+    read_set_skips_counter = m->GetCounter(
+        "vada_orchestrator_read_set_skips",
+        "Transducers gated out because nothing they read moved");
     eligibility_hist = m->GetHistogram(
         "vada_orchestrator_eligibility_seconds",
         "Per-step control-fact sync plus eligibility scan",
@@ -406,12 +445,12 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
       }
     }
 
-    // Eligibility: dependency satisfied AND the KB moved since last run
-    // AND not quarantined (open circuits sit out their cooldown). Gating
-    // runs over every transducer before any dependency is checked: the
-    // checks may record failure facts, which move the global version,
-    // so interleaving the two would change what the version gate of the
-    // remaining transducers sees.
+    // Eligibility: not quarantined (open circuits sit out their cooldown)
+    // AND something the transducer read moved since it last ran AND its
+    // dependency is satisfied. Gating runs over every transducer before
+    // any dependency is checked: the checks may record failure facts,
+    // which move the KB, so interleaving the two would change what the
+    // gate of the remaining transducers sees.
     std::vector<Transducer*> eligible;
     {
       obs::ScopedSpan eligibility_span(spans, eligibility_hist, "eligibility",
@@ -444,9 +483,14 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
               fs->circuit == Circuit::kHalfOpen || fs->retry_scheduled;
         }
         if (!probation) {
-          auto it = last_run_version_.find(t->name());
-          if (it != last_run_version_.end() &&
-              it->second >= kb->global_version()) {
+          auto it = last_run_.find(t->name());
+          if (it != last_run_.end() && it->second.Current(*kb)) {
+            if (!it->second.global_version.has_value()) {
+              ++st->read_set_skips;
+              if (read_set_skips_counter != nullptr) {
+                read_set_skips_counter->Increment();
+              }
+            }
             continue;  // nothing new since this transducer last ran
           }
         }
@@ -478,7 +522,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
           // execute failures: recorded, counted towards quarantine, and
           // the transducer is skipped instead of aborting the run.
           RecordFailure(t, dep_error, 1, step, kb, st, m);
-          last_run_version_[t->name()] = kb->global_version();
+          last_run_[t->name()] = LastRun{{}, {}, kb->global_version()};
           continue;
         }
         if (ready.value()) eligible.push_back(t);
@@ -489,7 +533,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
       // more trial: benched ones with probe budget go half-open (this is
       // how a healed flaky transducer exits quarantine when nothing else
       // moves the KB), and closed ones with pending failures get a single
-      // version-gate bypass (each grant either succeeds — resetting the
+      // gate bypass (each grant either succeeds — resetting the
       // count — or moves them one failure closer to quarantine, so the
       // loop still terminates).
       if (fp.enabled) {
@@ -517,7 +561,8 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
           "scheduling policy " + policy_->name() +
           " returned no transducer from a non-empty eligible set"));
     }
-    uint64_t version_before = kb->global_version();
+    const uint64_t version_before = kb->global_version();
+    const bool outer_guard = kb->HasActiveGuard();
     uint64_t facts_added_before = kb->facts_added();
     uint64_t facts_removed_before = kb->facts_removed();
     obs::Histogram* execute_hist =
@@ -529,7 +574,8 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
                               {{"transducer", chosen->name()}});
 
     // Execute with retry: every attempt runs under a write-guard, so a
-    // failed attempt leaves the KB exactly as it was (versions included).
+    // failed attempt leaves the KB exactly as it was (versions included),
+    // and logs what it reads for the gate.
     const size_t max_attempts =
         fp.enabled ? std::max<size_t>(1, fp.max_attempts) : 1;
     uint64_t t0 = obs::MonotonicNanos();
@@ -537,6 +583,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
     size_t attempts = 0;
     bool rolled_back = false;
     double backoff_ms = fp.backoff_initial_ms;
+    KnowledgeBase::ReadLog reads;  // of the last attempt
     for (attempts = 1; attempts <= max_attempts; ++attempts) {
       ExecutionContext ctx;
       ctx.set_attempt(attempts);
@@ -544,24 +591,25 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
       if (fp.enabled) ctx.SetTimeoutMs(fp.execute_timeout_ms);
       obs::ScopedSpan execute_span(spans, execute_hist, chosen->name(),
                                    chosen->activity());
-      if (fp.enabled) {
-        WriteGuard guard(kb);
-        exec_status = chosen->Execute(kb, &ctx);
-        if (exec_status.ok()) {
-          guard.Commit();
-          break;
-        }
+      std::optional<WriteGuard> guard;
+      if (fp.enabled) guard.emplace(kb);
+      reads = KnowledgeBase::ReadLog();
+      kb->SetReadLog(&reads);
+      exec_status = chosen->Execute(kb, &ctx);
+      kb->SetReadLog(nullptr);
+      if (exec_status.ok()) {
+        if (guard.has_value()) guard->Commit();
+        break;
+      }
+      if (guard.has_value()) {
         uint64_t rb0 = obs::MonotonicNanos();
-        guard.Rollback();
+        guard->Rollback();
         if (rollback_hist != nullptr) {
           rollback_hist->Observe(
               static_cast<double>(obs::MonotonicNanos() - rb0) * 1e-9);
         }
         rolled_back = true;
         ++st->rollbacks;
-      } else {
-        exec_status = chosen->Execute(kb, &ctx);
-        if (exec_status.ok()) break;
       }
       if (attempts < max_attempts) {
         ++st->retries;
@@ -579,11 +627,26 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
     attempts = std::min(attempts, max_attempts);
     uint64_t t1 = obs::MonotonicNanos();
 
-    // Record the version the transducer *saw* — its own writes count as
-    // new information (it re-runs once more and must reach a no-op, which
-    // is how non-idempotent transducer bugs surface at max_steps instead
-    // of silently converging on stale state).
-    last_run_version_[chosen->name()] = version_before;
+    // Gate on what the transducer *saw*. Writes other than
+    // ReplaceRelationIfChanged count as new information (it re-runs once
+    // more and must reach a no-op, which is how non-idempotent transducer
+    // bugs surface at max_steps instead of silently converging on stale
+    // state); under the global gate all of its own writes do.
+    LastRun& last = last_run_[chosen->name()];
+    last = LastRun();
+    if (reads.whole_kb || outer_guard) {
+      last.global_version = version_before;
+    } else {
+      for (const std::string& name : reads.relations) {
+        last.relations[name] = kb->relation_version(name);
+      }
+      for (const auto& [name, version] : reads.overwritten) {
+        last.relations[name] = version;
+      }
+      for (RelationRole role : reads.roles) {
+        last.roles[role] = kb->catalog().role_version(role);
+      }
+    }
     ++st->steps;
     uint64_t version_after = kb->global_version();
     bool changed = version_after != version_before;
@@ -649,7 +712,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
       // Wait for new information (or a quarantine probe) before trying
       // this transducer again: otherwise its own failure facts would make
       // it immediately eligible in a failure loop.
-      last_run_version_[chosen->name()] = kb->global_version();
+      last_run_[chosen->name()] = LastRun{{}, {}, kb->global_version()};
     }
   }
   return finalize(Status::Internal(

@@ -90,6 +90,7 @@ struct OrchestrationStats {
   size_t effective_steps = 0;   ///< steps that changed the KB
   size_t dependency_checks = 0; ///< input dependencies the scans consulted
   size_t dependency_memo_hits = 0; ///< ...of which answered from the memo
+  size_t read_set_skips = 0;    ///< gated out: nothing they read moved
   size_t failures = 0;          ///< steps whose every attempt failed
   size_t retries = 0;           ///< extra Execute() attempts after a failure
   size_t rollbacks = 0;         ///< write-guard rollbacks performed
@@ -100,13 +101,15 @@ struct OrchestrationStats {
 /// The dynamic orchestrator (the paper's network transducer). Repeatedly:
 ///  1. materialises the sys_* control relations describing the KB
 ///     (sys_relation_role, sys_relation_nonempty, sys_relation_attribute);
-///  2. finds eligible transducers: input dependency derives `ready` AND
-///     the KB changed since the transducer last ran AND the transducer is
-///     not quarantined;
+///  2. finds eligible transducers: not quarantined AND something the
+///     transducer read in its last step has moved since (the read-set
+///     gate) AND its input dependency derives `ready`;
 ///  3. lets the scheduling policy pick one and executes it under a
 ///     KB write-guard, retrying failed attempts per the failure policy;
 /// until no transducer is eligible (fixpoint), max_steps is hit, or the
 /// wall-clock budget runs out (best-effort stop).
+/// The read set is what the KB logged the last step reading
+/// (KnowledgeBase::ReadLog); DESIGN.md §5e gives its recording rules.
 ///
 /// Failure semantics (DESIGN.md §5d): a failing Execute() never leaves
 /// partial writes behind (rollback), is retried with exponential backoff,
@@ -131,7 +134,7 @@ class NetworkTransducer {
     size_t cooldown_progress = 0;  ///< scans sat out while open
     size_t probes_used = 0;        ///< half-open probes spent this Run
     /// Fixpoint retry granted to a closed circuit with pending failures
-    /// (skips the version gate once); cleared on the next execution.
+    /// (skips the gate once); cleared on the next execution.
     bool retry_scheduled = false;
     std::string last_error;
   };
@@ -148,6 +151,19 @@ class NetworkTransducer {
   /// control relations refreshed) through the same memoized evaluation
   /// the eligibility scan uses; exposed for Table 1 benches/tests.
   Result<bool> IsSatisfied(const Transducer& transducer, KnowledgeBase* kb);
+
+  /// Why a transducer would or would not run in the next eligibility
+  /// scan (phase 1 order: quarantine, gate, dependency).
+  struct Eligibility {
+    enum class Reason { kQuarantined, kInputsUnchanged, kDependencyNotReady,
+                        kCandidate };
+    Reason reason = Reason::kCandidate;
+    /// kInputsUnchanged: what its last step read, at the versions it
+    /// saw then (empty under the global-version gate).
+    std::map<std::string, uint64_t> reads;
+  };
+  Result<Eligibility> ExplainEligibility(const Transducer& transducer,
+                                         KnowledgeBase* kb);
 
   const ExecutionTrace& trace() const { return trace_; }
   void ClearTrace() { trace_ = ExecutionTrace(); }
@@ -185,10 +201,19 @@ class NetworkTransducer {
   size_t OpenCircuits() const;
   void PublishQuarantineGauge(obs::MetricsRegistry* metrics) const;
 
+  /// The gate: the versions of what a transducer's last step read, or
+  /// the global version it ran at. Current: nothing of it has moved.
+  struct LastRun {
+    std::map<std::string, uint64_t> relations;
+    std::map<RelationRole, uint64_t> roles;
+    std::optional<uint64_t> global_version;
+    bool Current(const KnowledgeBase& kb) const;
+  };
+
   /// A parsed input-dependency program and its memoized answer, valid
   /// while every relation in `reads` is at the recorded version (the
   /// snapshot cache's keying invariant, DESIGN.md §5e). Like
-  /// last_run_version_, the memo assumes one KB per orchestrator.
+  /// last_run_, the memo assumes one KB per orchestrator.
   struct Dependency {
     datalog::Program program;
     std::vector<std::string> reads;  ///< datalog::ReferencedRelations
@@ -216,7 +241,7 @@ class NetworkTransducer {
   std::unique_ptr<SchedulingPolicy> policy_;
   OrchestratorOptions options_;
   ExecutionTrace trace_;
-  std::map<std::string, uint64_t> last_run_version_;
+  std::map<std::string, LastRun> last_run_;
   std::map<std::string, FailureState> failure_state_;
   std::map<std::string, Dependency> parsed_deps_;
   uint64_t control_synced_at_version_ = 0;

@@ -20,7 +20,11 @@ namespace vada {
 /// the transducer becomes executable when `ready` derives a fact.
 ///
 /// Contract for Execute():
-///  * read/write the knowledge base only through its API;
+///  * read/write the knowledge base only through its API, and depend on
+///    nothing else that changes (state mirrored in a KB relation counts
+///    once read with KnowledgeBase::NoteRead): the orchestrator logs
+///    those reads and runs the transducer again only when one of them
+///    has moved (the read-set gate, DESIGN.md §5e);
 ///  * be idempotent — re-running on unchanged inputs must not change the
 ///    KB (use ReplaceRelationIfChanged); this is what makes the dynamic
 ///    orchestration terminate;

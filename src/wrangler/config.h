@@ -158,15 +158,6 @@ struct WranglingState {
   /// resulting penalty changes the mappings (see MatchAttribution docs).
   std::vector<MatchAttribution> feedback_attributions;
   std::set<size_t> attributed_feedback_items;
-  /// Per-transducer-body fingerprint of the (name, version) pairs of
-  /// every relation the body read or wrote, taken at the end of its last
-  /// successful run. The orchestrator re-runs a ready transducer
-  /// whenever *anything* in the KB changed; bodies use this memo to
-  /// narrow that to their own read/write set and skip recomputation
-  /// that would reproduce the KB byte for byte (see UpToDate in
-  /// standard_transducers.cc).
-  std::map<std::string, std::vector<std::pair<std::string, uint64_t>>>
-      body_run_versions;
   /// The session's KB change log when config.incremental.enabled (the
   /// session owns the log and attaches it to the KB); nullptr otherwise.
   DeltaLog* delta_log = nullptr;

@@ -356,6 +356,15 @@ Result<std::string> WranglingSession::ExplainIncremental() const {
   return out;
 }
 
+Result<NetworkTransducer::Eligibility> WranglingSession::ExplainEligibility(
+    const std::string& name) {
+  const Transducer* transducer = registry_.Find(name);
+  if (transducer == nullptr) {
+    return Status::NotFound("no transducer named " + name);
+  }
+  return orchestrator_->ExplainEligibility(*transducer, &kb_);
+}
+
 Result<datalog::PlanExplain> WranglingSession::ExplainProgram(
     const std::string& program_text, bool analyze) const {
   Result<datalog::Program> parsed = datalog::Parser::Parse(program_text);

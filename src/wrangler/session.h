@@ -152,6 +152,11 @@ class WranglingSession {
   /// disabled contexts return nullptr from metrics()/spans().
   const obs::ObsContext& obs() const { return *obs_; }
 
+  /// Why transducer `name` would or would not run in the next scan (see
+  /// NetworkTransducer::Eligibility); kNotFound for an unknown name.
+  Result<NetworkTransducer::Eligibility> ExplainEligibility(
+      const std::string& name);
+
   const ExecutionTrace& trace() const { return orchestrator_->trace(); }
   /// Orchestrator readout (quarantine/failure state, trace). The session
   /// owns it for its whole lifetime.

@@ -61,40 +61,18 @@ Status WriteMetadataRelation(KnowledgeBase* kb, const Relation& rel) {
   return Status::OK();
 }
 
-/// (name, version) fingerprint of `relations` (version 0 = absent).
-std::vector<std::pair<std::string, uint64_t>> VersionFingerprint(
-    const KnowledgeBase& kb, const std::vector<std::string>& relations) {
-  std::vector<std::pair<std::string, uint64_t>> fp;
-  fp.reserve(relations.size());
-  for (const std::string& r : relations) {
-    fp.emplace_back(r, kb.relation_version(r));
+/// Bodies that use session state first read the KB relations mirroring
+/// it, so the orchestrator's read-set gate, which sees only KB reads,
+/// re-runs them when that state changes. The data-context bindings (and
+/// with them the evidence of the learned CFDs) are mirrored by
+/// data_context and the relations they bind; the CFDs also by cfd.
+void ReadContextMirror(const KnowledgeBase& kb, const WranglingState& state,
+                       bool cfds) {
+  kb.NoteRead("data_context");
+  for (const DataContextBinding& binding : state.data_context.bindings()) {
+    kb.NoteRead(binding.context_relation);
   }
-  return fp;
-}
-
-/// True when every relation `body` reads or writes still has the version
-/// recorded at the end of its last successful run — re-running would
-/// reproduce the KB byte for byte, so the caller may return immediately.
-/// The orchestrator re-runs a ready transducer whenever *anything* in
-/// the KB changed; this narrows that test to the body's own read/write
-/// set. Output relations belong in `relations` too: if a rollback or
-/// another writer touched them, their version moved and the body
-/// recomputes. Bodies whose inputs include non-KB state (feedback,
-/// user context) must not use this unless that state is mirrored in a
-/// listed relation.
-bool UpToDate(const WranglingState& state, const KnowledgeBase& kb,
-              const std::string& body,
-              const std::vector<std::string>& relations) {
-  auto it = state.body_run_versions.find(body);
-  return it != state.body_run_versions.end() &&
-         it->second == VersionFingerprint(kb, relations);
-}
-
-/// Records the post-run fingerprint for `body` (call after all writes).
-void RecordRun(WranglingState* state, const KnowledgeBase& kb,
-               const std::string& body,
-               const std::vector<std::string>& relations) {
-  state->body_run_versions[body] = VersionFingerprint(kb, relations);
+  if (cfds) kb.NoteRead("cfd");
 }
 
 // ---------------------------------------------------------------------------
@@ -119,12 +97,7 @@ Status SchemaMatchingBody(WranglingState* state, KnowledgeBase* kb) {
 Status InstanceMatchingBody(WranglingState* state, KnowledgeBase* kb) {
   Result<Schema> target = TargetSchema(*kb, *state);
   if (!target.ok()) return target.status();
-  std::vector<std::string> deps{state->target_relation, "match_instance"};
-  for (const std::string& source : SourceNames(*kb)) deps.push_back(source);
-  for (const DataContextBinding& binding : state->data_context.bindings()) {
-    deps.push_back(binding.context_relation);
-  }
-  if (UpToDate(*state, *kb, "instance_matching", deps)) return Status::OK();
+  ReadContextMirror(*kb, *state, /*cfds=*/false);
   InstanceMatcher matcher(state->config.instance_matcher);
   std::vector<MatchCandidate> all;
   for (const std::string& source : SourceNames(*kb)) {
@@ -147,10 +120,8 @@ Status InstanceMatchingBody(WranglingState* state, KnowledgeBase* kb) {
       }
     }
   }
-  VADA_RETURN_IF_ERROR(WriteMetadataRelation(
-      kb, MatchesToRelation(BestPerPair(std::move(all)), "match_instance")));
-  RecordRun(state, *kb, "instance_matching", deps);
-  return Status::OK();
+  return WriteMetadataRelation(
+      kb, MatchesToRelation(BestPerPair(std::move(all)), "match_instance"));
 }
 
 Status MatchCombinationBody(WranglingState* state, KnowledgeBase* kb) {
@@ -206,13 +177,6 @@ Status MappingExecutionBody(WranglingState* state, KnowledgeBase* kb) {
   if (!target.ok()) return target.status();
   Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
   if (!mappings.ok()) return mappings.status();
-  std::vector<std::string> deps{state->target_relation, "mapping"};
-  for (const Mapping& m : mappings.value()) {
-    deps.insert(deps.end(), m.source_relations.begin(),
-                m.source_relations.end());
-    deps.push_back(m.result_predicate);
-  }
-  if (UpToDate(*state, *kb, "mapping_execution", deps)) return Status::OK();
   MappingExecutor executor(state->config.planner);
   executor.set_snapshot_cache(&state->mapping_source_cache);
   const bool incremental =
@@ -237,11 +201,11 @@ Status MappingExecutionBody(WranglingState* state, KnowledgeBase* kb) {
                                      : state->mapping_delta.erase(it);
     }
   }
-  RecordRun(state, *kb, "mapping_execution", deps);
   return Status::OK();
 }
 
 Status CfdLearningBody(WranglingState* state, KnowledgeBase* kb) {
+  ReadContextMirror(*kb, *state, /*cfds=*/false);
   CfdLearner learner(state->config.cfd_learner);
   std::vector<Cfd> cfds;
   Relation evidence;
@@ -288,17 +252,10 @@ Status CfdLearningBody(WranglingState* state, KnowledgeBase* kb) {
 }
 
 Status MappingRepairBody(WranglingState* state, KnowledgeBase* kb) {
+  ReadContextMirror(*kb, *state, /*cfds=*/true);
   if (state->cfds.empty()) return Status::OK();
   Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
   if (!mappings.ok()) return mappings.status();
-  // state->cfds / cfd_evidence are mirrored by the "cfd" relation, which
-  // cfd_learning rewrites whenever they change.
-  std::vector<std::string> deps{"cfd", "mapping"};
-  for (const Mapping& m : mappings.value()) {
-    deps.push_back(m.result_predicate);
-    deps.push_back("repaired_" + m.id);
-  }
-  if (UpToDate(*state, *kb, "mapping_repair", deps)) return Status::OK();
   CfdChecker checker(state->cfds,
                      state->has_cfd_evidence ? &state->cfd_evidence : nullptr);
   for (const Mapping& m : mappings.value()) {
@@ -312,23 +269,13 @@ Status MappingRepairBody(WranglingState* state, KnowledgeBase* kb) {
     if (!count.ok()) return count.status();
     VADA_RETURN_IF_ERROR(WriteMetadataRelation(kb, repaired));
   }
-  RecordRun(state, *kb, "mapping_repair", deps);
   return Status::OK();
 }
 
 Status QualityMetricsBody(WranglingState* state, KnowledgeBase* kb) {
   Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
   if (!mappings.ok()) return mappings.status();
-
-  std::vector<std::string> deps{"mapping", "cfd", "quality_metric"};
-  for (const DataContextBinding& binding : state->data_context.bindings()) {
-    deps.push_back(binding.context_relation);
-  }
-  for (const Mapping& m : mappings.value()) {
-    deps.push_back(m.result_predicate);
-    deps.push_back("repaired_" + m.id);
-  }
-  if (UpToDate(*state, *kb, "quality_metrics", deps)) return Status::OK();
+  ReadContextMirror(*kb, *state, /*cfds=*/true);
 
   QualityEstimator estimator;
   // Accuracy reference: the first reference binding with instances.
@@ -361,13 +308,11 @@ Status QualityMetricsBody(WranglingState* state, KnowledgeBase* kb) {
     std::vector<QualityMetricFact> part = estimator.EstimateFacts(*rel, m.id);
     facts.insert(facts.end(), part.begin(), part.end());
   }
-  VADA_RETURN_IF_ERROR(
-      WriteMetadataRelation(kb, QualityMetricsToRelation(facts)));
-  RecordRun(state, *kb, "quality_metrics", deps);
-  return Status::OK();
+  return WriteMetadataRelation(kb, QualityMetricsToRelation(facts));
 }
 
 Status SourceQualityBody(WranglingState* state, KnowledgeBase* kb) {
+  ReadContextMirror(*kb, *state, /*cfds=*/true);
   QualityEstimator estimator;
   // Source attribute names generally differ from the target vocabulary,
   // so accuracy-vs-reference does not apply here; completeness (and
@@ -445,6 +390,7 @@ Status MappingSelectionBody(WranglingState* state, KnowledgeBase* kb) {
   }
 
   std::optional<CriterionWeights> weights;
+  kb->NoteRead("user_context");  // mirrors state->user_context
   if (!state->user_context.empty()) {
     Result<CriterionWeights> derived = state->user_context.DeriveWeights();
     if (!derived.ok()) return derived.status();
@@ -478,14 +424,6 @@ Status FusionBody(WranglingState* state, KnowledgeBase* kb) {
   if (!target.ok()) return target.status();
   Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
   if (!mappings.ok()) return mappings.status();
-  std::vector<std::string> deps{state->target_relation, "mapping",
-                                "selected_mapping", "source_trust",
-                                state->config.result_relation};
-  for (const Mapping& m : mappings.value()) {
-    deps.push_back(m.result_predicate);
-    deps.push_back("repaired_" + m.id);
-  }
-  if (UpToDate(*state, *kb, "fusion", deps)) return Status::OK();
   const Relation* selected_rel = kb->FindRelation("selected_mapping");
   if (selected_rel == nullptr) return Status::OK();
   std::set<std::string> selected;
@@ -552,11 +490,11 @@ Status FusionBody(WranglingState* state, KnowledgeBase* kb) {
 
   VADA_RETURN_IF_ERROR(kb->ReplaceRelationIfChanged(fused.value()));
   kb->catalog().SetRole(state->config.result_relation, RelationRole::kResult);
-  RecordRun(state, *kb, "fusion", deps);
   return Status::OK();
 }
 
 Status FeedbackPropagationBody(WranglingState* state, KnowledgeBase* kb) {
+  kb->NoteRead("feedback");  // mirrors state->feedback
   if (state->feedback.empty()) return Status::OK();
   Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
   if (!mappings.ok()) return mappings.status();
