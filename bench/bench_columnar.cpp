@@ -91,12 +91,6 @@ ProgramRun RunProgram(const Program& program, const Database& edb,
   return r;
 }
 
-/// "median [p10, p90]" in milliseconds.
-std::string FmtSpread(const Measurement& m) {
-  return Fmt(m.median, 1) + " [" + Fmt(m.p10, 1) + ", " + Fmt(m.p90, 1) +
-         "]";
-}
-
 }  // namespace
 
 int main() {

@@ -17,7 +17,12 @@
 // against plain evaluation of the same program, bounding the cost of
 // per-literal attribution (only paid when Explain is called; Run never
 // materializes explain structures).
+//
+// Every time is the median [p10, p90] of kReps runs after kWarmup
+// discarded ones. The configurations are interleaved (each rep runs all
+// of them in turn), so host drift cannot land on one row only.
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -64,63 +69,68 @@ std::string HttpGet(uint16_t port, const std::string& path) {
   return response;
 }
 
+constexpr size_t kReps = 11;
+constexpr size_t kWarmup = 1;
+
 }  // namespace
 
 int main() {
   using namespace vada;
   using namespace vada::bench;
 
-  std::printf("O1: observability overhead\n\n");
+  std::printf("O1: observability overhead\n");
+  std::printf("(wall ms: median [p10, p90] of %zu interleaved reps after %zu "
+              "warm-up)\n\n",
+              kReps, kWarmup);
 
   Scenario sc = MakeScenario(41, 300, 40);
   std::vector<Relation> sources = {sc.rightmove, sc.onthemarket,
                                    sc.deprivation};
 
-  // One full bootstrap per configuration, `reps` times; fresh session
-  // each rep. `scrape` GETs /metrics after each Run.
-  auto bootstrap_ms = [&](const obs::ObsOptions& obs, bool scrape,
-                          size_t reps) {
-    double total = 0.0;
-    for (size_t rep = 0; rep < reps; ++rep) {
-      WranglerConfig config;
-      config.obs = obs;
-      auto session = std::make_unique<WranglingSession>(config);
-      Status s = session->SetTargetSchema(PaperTargetSchema());
-      for (const Relation& src : sources) {
-        if (s.ok()) s = session->AddSource(src);
-      }
-      total += TimeMs([&] {
-        if (s.ok()) s = session->Run();
-        if (scrape && session->obs().http_server() != nullptr) {
-          std::string r = HttpGet(session->obs().http_port(), "/metrics");
-          if (r.find("vada_") == std::string::npos) {
-            std::fprintf(stderr, "scrape returned no metrics\n");
-            std::exit(1);
-          }
-        }
-      });
-      if (!s.ok()) {
-        std::fprintf(stderr, "bootstrap failed: %s\n", s.ToString().c_str());
-        std::exit(1);
-      }
+  // One full bootstrap on a fresh session; only Run (and the scrape) is
+  // timed. `scrape` GETs /metrics after the Run.
+  auto bootstrap_ms = [&](const obs::ObsOptions& obs, bool scrape) {
+    WranglerConfig config;
+    config.obs = obs;
+    auto session = std::make_unique<WranglingSession>(config);
+    Status s = session->SetTargetSchema(PaperTargetSchema());
+    for (const Relation& src : sources) {
+      if (s.ok()) s = session->AddSource(src);
     }
-    return total / static_cast<double>(reps);
+    double ms = TimeMs([&] {
+      if (s.ok()) s = session->Run();
+      if (scrape && session->obs().http_server() != nullptr) {
+        std::string r = HttpGet(session->obs().http_port(), "/metrics");
+        if (r.find("vada_") == std::string::npos) {
+          std::fprintf(stderr, "scrape returned no metrics\n");
+          std::exit(1);
+        }
+      }
+    });
+    if (!s.ok()) {
+      std::fprintf(stderr, "bootstrap failed: %s\n", s.ToString().c_str());
+      std::exit(1);
+    }
+    return ms;
   };
 
-  const size_t kReps = 5;
   obs::ObsOptions disabled;
   disabled.enabled = false;
   obs::ObsOptions enabled;  // defaults: metrics + spans, no HTTP
   obs::ObsOptions with_http = enabled;
   with_http.http_port = 0;  // ephemeral
 
-  // Warm-up so first-touch allocation noise does not land on a row.
-  (void)bootstrap_ms(disabled, false, 1);
-
-  double off_ms = bootstrap_ms(disabled, false, kReps);
-  double on_ms = bootstrap_ms(enabled, false, kReps);
-  double http_idle_ms = bootstrap_ms(with_http, false, kReps);
-  double http_scrape_ms = bootstrap_ms(with_http, true, kReps);
+  const std::vector<std::function<double()>> configs = {
+      [&] { return bootstrap_ms(disabled, false); },
+      [&] { return bootstrap_ms(enabled, false); },
+      [&] { return bootstrap_ms(with_http, false); },
+      [&] { return bootstrap_ms(with_http, true); },
+  };
+  std::vector<Measurement> boot = MeasureInterleaved(kReps, kWarmup, configs);
+  const Measurement& off = boot[0];
+  const Measurement& on = boot[1];
+  const Measurement& http_idle = boot[2];
+  const Measurement& http_scrape = boot[3];
 
   // EXPLAIN ANALYZE attribution cost vs plain Run of the same program.
   const std::string kProgram =
@@ -131,56 +141,62 @@ int main() {
     (void)edges.Insert(Tuple{Value::Int(i), Value::Int((i + 1) % 400)});
   }
   auto eval_ms = [&](bool analyze) {
-    return TimeMs([&] {
-      Result<datalog::Program> program = datalog::Parser::Parse(kProgram);
-      datalog::Database db;
-      db.LoadRelation(edges);
-      datalog::Evaluator eval(std::move(program).value());
-      Status s = eval.Prepare();
-      if (s.ok()) {
-        if (analyze) {
-          datalog::PlanExplain plan;
-          s = eval.Explain(&db, &plan, /*analyze=*/true);
-        } else {
-          s = eval.Run(&db);
-        }
-      }
-      if (!s.ok()) {
-        std::fprintf(stderr, "eval failed: %s\n", s.ToString().c_str());
-        std::exit(1);
+    Result<datalog::Program> program = datalog::Parser::Parse(kProgram);
+    datalog::Database db;
+    db.LoadRelation(edges);
+    datalog::Evaluator eval(std::move(program).value());
+    Status s = eval.Prepare();
+    double ms = TimeMs([&] {
+      if (!s.ok()) return;
+      if (analyze) {
+        datalog::PlanExplain plan;
+        s = eval.Explain(&db, &plan, /*analyze=*/true);
+      } else {
+        s = eval.Run(&db);
       }
     });
+    if (!s.ok()) {
+      std::fprintf(stderr, "eval failed: %s\n", s.ToString().c_str());
+      std::exit(1);
+    }
+    return ms;
   };
-  (void)eval_ms(false);  // warm-up
-  double run_ms = eval_ms(false);
-  double explain_ms = eval_ms(true);
+  const std::vector<std::function<double()>> evals = {
+      [&] { return eval_ms(false); },
+      [&] { return eval_ms(true); },
+  };
+  std::vector<Measurement> attribution =
+      MeasureInterleaved(kReps, kWarmup, evals);
+  const Measurement& run = attribution[0];
+  const Measurement& explain = attribution[1];
 
-  auto pct = [](double base, double v) {
-    return base > 0.0 ? (v - base) / base * 100.0 : 0.0;
+  auto pct = [](const Measurement& base, const Measurement& v) {
+    return base.median > 0.0 ? (v.median - base.median) / base.median * 100.0
+                             : 0.0;
   };
 
   Table table({"configuration", "bootstrap ms", "vs disabled"});
-  table.AddRow({"obs disabled", Fmt(off_ms), "--"});
-  table.AddRow({"obs enabled, no http", Fmt(on_ms),
-                Fmt(pct(off_ms, on_ms), 1) + "%"});
-  table.AddRow({"obs + http idle", Fmt(http_idle_ms),
-                Fmt(pct(off_ms, http_idle_ms), 1) + "%"});
-  table.AddRow({"obs + /metrics scrape", Fmt(http_scrape_ms),
-                Fmt(pct(off_ms, http_scrape_ms), 1) + "%"});
+  table.AddRow({"obs disabled", FmtSpread(off), "--"});
+  table.AddRow({"obs enabled, no http", FmtSpread(on),
+                Fmt(pct(off, on), 1) + "%"});
+  table.AddRow({"obs + http idle", FmtSpread(http_idle),
+                Fmt(pct(off, http_idle), 1) + "%"});
+  table.AddRow({"obs + /metrics scrape", FmtSpread(http_scrape),
+                Fmt(pct(off, http_scrape), 1) + "%"});
   table.Print();
 
-  std::printf("\nEXPLAIN ANALYZE attribution: run=%sms analyze=%sms (%s%%)\n",
-              Fmt(run_ms).c_str(), Fmt(explain_ms).c_str(),
-              Fmt(pct(run_ms, explain_ms), 1).c_str());
+  std::printf("\nEXPLAIN ANALYZE attribution: run=%s ms analyze=%s ms (%s%%)\n",
+              FmtSpread(run, 2).c_str(), FmtSpread(explain, 2).c_str(),
+              Fmt(pct(run, explain), 1).c_str());
 
   BenchReport report("obs_overhead");
-  report.Add("disabled_ms", off_ms);
-  report.Add("enabled_ms", on_ms);
-  report.Add("http_idle_ms", http_idle_ms);
-  report.Add("http_scrape_ms", http_scrape_ms);
-  report.Add("enabled_overhead_pct", pct(off_ms, on_ms));
-  report.Add("run_ms", run_ms);
-  report.Add("explain_analyze_ms", explain_ms);
+  report.AddMeasurement("disabled_ms", off);
+  report.AddMeasurement("enabled_ms", on);
+  report.AddMeasurement("http_idle_ms", http_idle);
+  report.AddMeasurement("http_scrape_ms", http_scrape);
+  report.Add("enabled_overhead_pct", pct(off, on));
+  report.AddMeasurement("run_ms", run);
+  report.AddMeasurement("explain_analyze_ms", explain);
   report.WriteJson();
   return 0;
 }

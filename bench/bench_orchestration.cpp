@@ -76,11 +76,6 @@ Result<Measurement> MeasureEvent(const WranglerConfig& config,
   return m;
 }
 
-std::string Spread(const Measurement& m) {
-  return Fmt(m.median, 1) + " [" + Fmt(m.p10, 1) + ", " + Fmt(m.p90, 1) +
-         "]";
-}
-
 }  // namespace
 
 int main() {
@@ -200,7 +195,7 @@ int main() {
                "read-set skips", "dep checks", "wall ms", "rows",
                "overall quality"});
   table.AddRow({"ETL (single pass)", std::to_string(etl_report.component_runs),
-                "-", "-", "0", Spread(etl_ms), std::to_string(etl_eval.rows),
+                "-", "-", "0", FmtSpread(etl_ms), std::to_string(etl_eval.rows),
                 Fmt(etl_eval.overall)});
   for (size_t k = 0; k < events.size(); ++k) {
     const EventRun& r = event_runs[k];
@@ -208,12 +203,12 @@ int main() {
                   std::to_string(r.stats.effective_steps),
                   std::to_string(r.stats.read_set_skips),
                   std::to_string(r.stats.dependency_checks),
-                  Spread(event_ms[k]), std::to_string(r.eval.rows),
+                  FmtSpread(event_ms[k]), std::to_string(r.eval.rows),
                   Fmt(r.eval.overall)});
   }
   table.AddRow({"ETL re-run (same new input)",
                 std::to_string(etl_report.component_runs), "-", "-", "0",
-                Spread(etl_rerun_ms), std::to_string(etl_eval.rows),
+                FmtSpread(etl_rerun_ms), std::to_string(etl_eval.rows),
                 Fmt(etl_eval.overall) + " (no repair/selection)"});
   const double boot_ms = event_ms[0].median;
   table.AddRow({"VADA bootstrap (obs enabled)",
@@ -221,7 +216,7 @@ int main() {
                 std::to_string(obs_run.stats.effective_steps),
                 std::to_string(obs_run.stats.read_set_skips),
                 std::to_string(obs_run.stats.dependency_checks),
-                Spread(obs_boot_ms.value()), "-",
+                FmtSpread(obs_boot_ms.value()), "-",
                 "overhead " +
                     Fmt(boot_ms > 0
                             ? (obs_boot_ms.value().median / boot_ms - 1.0) *

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -47,6 +48,21 @@ inline double Quantile(const std::vector<double>& v, double q) {
   return v[lo] + (at - static_cast<double>(lo)) * (v[hi] - v[lo]);
 }
 
+/// Summarizes `samples`: median, p10/p90 and the median absolute
+/// deviation.
+inline Measurement Summarize(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  Measurement m;
+  m.median = Quantile(samples, 0.5);
+  m.p10 = Quantile(samples, 0.1);
+  m.p90 = Quantile(samples, 0.9);
+  std::vector<double> deviations;
+  for (double x : samples) deviations.push_back(std::fabs(x - m.median));
+  std::sort(deviations.begin(), deviations.end());
+  m.mad = Quantile(deviations, 0.5);
+  return m;
+}
+
 /// Calls `fn` `warmup` times, discarding the results, then `reps` times,
 /// and summarizes the samples it returns. `fn` returns one sample (for
 /// example TimeMs over the part of a run worth timing), so per-rep
@@ -54,18 +70,28 @@ inline double Quantile(const std::vector<double>& v, double q) {
 template <typename Fn>
 Measurement Measure(size_t reps, size_t warmup, Fn&& fn) {
   for (size_t i = 0; i < warmup; ++i) (void)fn();
-  std::vector<double> sorted;
-  for (size_t i = 0; i < reps; ++i) sorted.push_back(fn());
-  std::sort(sorted.begin(), sorted.end());
-  Measurement m;
-  m.median = Quantile(sorted, 0.5);
-  m.p10 = Quantile(sorted, 0.1);
-  m.p90 = Quantile(sorted, 0.9);
-  std::vector<double> deviations;
-  for (double x : sorted) deviations.push_back(std::fabs(x - m.median));
-  std::sort(deviations.begin(), deviations.end());
-  m.mad = Quantile(deviations, 0.5);
-  return m;
+  std::vector<double> samples;
+  for (size_t i = 0; i < reps; ++i) samples.push_back(fn());
+  return Summarize(std::move(samples));
+}
+
+/// Measure for several configurations compared with each other: every
+/// rep (and every warm-up) runs each of `fns` once, in order, so drift
+/// on a shared host lands on all of them alike instead of on whichever
+/// ran last. Returns one Measurement per fn.
+inline std::vector<Measurement> MeasureInterleaved(
+    size_t reps, size_t warmup,
+    const std::vector<std::function<double()>>& fns) {
+  for (size_t i = 0; i < warmup; ++i) {
+    for (const auto& fn : fns) (void)fn();
+  }
+  std::vector<std::vector<double>> samples(fns.size());
+  for (size_t i = 0; i < reps; ++i) {
+    for (size_t k = 0; k < fns.size(); ++k) samples[k].push_back(fns[k]());
+  }
+  std::vector<Measurement> out;
+  for (std::vector<double>& s : samples) out.push_back(Summarize(std::move(s)));
+  return out;
 }
 
 /// Fixed-width table printer for experiment output.
@@ -114,6 +140,12 @@ inline std::string Fmt(double v, int precision = 3) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
   return buf;
+}
+
+/// "median [p10, p90]" of `m`.
+inline std::string FmtSpread(const Measurement& m, int precision = 1) {
+  return Fmt(m.median, precision) + " [" + Fmt(m.p10, precision) + ", " +
+         Fmt(m.p90, precision) + "]";
 }
 
 /// Machine-readable bench output: collects named scalar results (wall

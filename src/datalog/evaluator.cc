@@ -301,88 +301,6 @@ Status Evaluator::Run(Database* db, EvalStats* stats,
   return RunInternal(db, stats, provenance, nullptr);
 }
 
-Status Evaluator::RunIncrement(Database* db, const Database& delta,
-                               EvalStats* stats, Database* added) {
-  if (!prepared_) {
-    return Status::FailedPrecondition("Evaluator::Prepare() was not called");
-  }
-  for (const Rule& r : program_.rules) {
-    if (r.HasAggregates()) {
-      return Status::FailedPrecondition(
-          "RunIncrement does not maintain aggregates: " + r.ToString());
-    }
-    for (const Literal& l : r.body) {
-      if (l.kind == Literal::Kind::kNegatedAtom) {
-        return Status::FailedPrecondition(
-            "RunIncrement does not maintain negation: " + r.ToString());
-      }
-    }
-  }
-  EvalStats local_stats;
-  EvalStats* st = (stats != nullptr) ? stats : &local_stats;
-
-  // Compile every rule once. Unlike RunInternal, *every* positive body
-  // atom is a candidate delta occurrence — the insertions may touch any
-  // predicate, not just same-stratum ones — so the stratum-predicate
-  // set only drives the (here unused) recursion flag.
-  std::set<std::string> head_preds;
-  for (const Rule& r : program_.rules) head_preds.insert(r.head.predicate);
-  std::vector<CompiledRule> rules;
-  std::vector<std::vector<size_t>> atom_positions;
-  rules.reserve(program_.rules.size());
-  for (const Rule& r : program_.rules) {
-    RuleCompiler compiler(head_preds, db, options_.planner);
-    rules.push_back(compiler.Compile(r));
-    std::vector<size_t> positions;
-    for (size_t i = 0; i < rules.back().body.size(); ++i) {
-      if (rules.back().body[i].kind == Literal::Kind::kAtom) {
-        positions.push_back(i);
-      }
-    }
-    atom_positions.push_back(std::move(positions));
-  }
-
-  // Any new derivation uses at least one delta fact; restricting one
-  // occurrence at a time to the delta (others read the already-updated
-  // db) enumerates each at least once, and InsertIds dedups overlap.
-  const Database* current = &delta;
-  Database next_delta;
-  for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
-    if (current->TotalFacts() == 0) break;
-    ++st->iterations;
-    Database produced;
-    for (size_t ri = 0; ri < rules.size(); ++ri) {
-      const CompiledRule& rule = rules[ri];
-      size_t head_arity = rule.head.terms.size();
-      for (size_t pos : atom_positions[ri]) {
-        if (current->FactCount(rule.body[pos].atom.predicate) == 0) continue;
-        ++st->rule_applications;
-        ProducedRows out;
-        JoinWork work;
-        EvaluateRule(rule, *db, current, pos, options_.planner, &out, nullptr,
-                     &work, nullptr);
-        work.MergeInto(st);
-        for (size_t i = 0; i < out.rows; ++i) {
-          const SymbolId* row = out.ids.data() + i * head_arity;
-          if (db->InsertIds(rule.head.predicate, row, head_arity)) {
-            ++st->facts_derived;
-            produced.InsertIds(rule.head.predicate, row, head_arity);
-            if (added != nullptr) {
-              added->InsertIds(rule.head.predicate, row, head_arity);
-            }
-          }
-        }
-      }
-    }
-    next_delta = std::move(produced);
-    current = &next_delta;
-    if (iter + 1 == options_.max_iterations && current->TotalFacts() != 0) {
-      return Status::Internal("incremental evaluation exceeded max_iterations");
-    }
-  }
-  return Status::OK();
-}
-
 Status Evaluator::Explain(Database* db, PlanExplain* out, bool analyze,
                           EvalStats* stats) {
   if (!prepared_) {

@@ -82,21 +82,6 @@ class Evaluator {
   Status Run(Database* db, EvalStats* stats = nullptr,
              Provenance* provenance = nullptr);
 
-  /// Monotone insert continuation (DESIGN.md §5k): `db` already holds a
-  /// fixpoint of this program plus the freshly inserted facts listed in
-  /// `delta`; derives (only) the consequences of those insertions and
-  /// adds them to `db`, restoring the fixpoint. Every positive body-atom
-  /// occurrence over a delta'd predicate is evaluated once with that
-  /// occurrence restricted to the delta, then newly derived facts form
-  /// the next round's delta — standard semi-naive, started from an
-  /// arbitrary insertion instead of the empty database. Sequential and
-  /// deterministic; `added` (optional) collects the newly derived facts.
-  /// Fails with kFailedPrecondition for programs with negation or
-  /// aggregates (insert-monotonicity does not hold there — callers fall
-  /// back to recomputation; see datalog/differential.h).
-  Status RunIncrement(Database* db, const Database& delta,
-                      EvalStats* stats = nullptr, Database* added = nullptr);
-
   /// EXPLAIN / EXPLAIN ANALYZE (DESIGN.md §5g). With `analyze == false`,
   /// compiles every stratum's join plans against `db` as-is and fills
   /// `*out` without evaluating anything — `db` is not mutated, and the

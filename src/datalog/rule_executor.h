@@ -1,6 +1,5 @@
 // Internal to the datalog engine: the compiled rule IR and the one join
-// kernel that executes it. Evaluator::Run, Evaluator::RunIncrement,
-// EXPLAIN and DifferentialEvaluator's counting sweeps all compile rules
+// kernel that executes it. Evaluator::Run and EXPLAIN compile rules
 // with RuleCompiler and enumerate their solutions with RuleExecutor.
 // Not part of the public API.
 #ifndef VADA_DATALOG_RULE_EXECUTOR_H_
@@ -331,14 +330,12 @@ constexpr size_t kNoDelta = static_cast<size_t>(-1);
 /// Evaluates one compiled rule body, invoking `on_solution` for every
 /// complete binding. Each positive atom reads one source, fixed here:
 /// the body atom at `delta_position` (or kNoDelta) ranges over `delta`
-/// instead of `db` (semi-naive); when `old` is set, the atoms after
-/// `delta_position` read `old` — the pre-batch snapshot of the counting
-/// sweep's telescoping split (DESIGN.md §5k). Negations read `db`.
+/// instead of `db` (semi-naive). Negations read `db`.
 class RuleExecutor {
  public:
   RuleExecutor(const CompiledRule& rule, const Database& db,
                const Database* delta, size_t delta_position,
-               const PlannerOptions& planner, const Database* old = nullptr)
+               const PlannerOptions& planner)
       : rule_(rule),
         db_(db),
         planner_(planner),
@@ -346,12 +343,8 @@ class RuleExecutor {
         sources_(rule.body.size(), &db),
         lit_index_(rule.body.size()),
         env_(rule.num_slots) {
-    for (size_t i = 0; i < sources_.size(); ++i) {
-      if (i == delta_position && delta != nullptr) {
-        sources_[i] = delta;
-      } else if (i > delta_position && old != nullptr) {
-        sources_[i] = old;
-      }
+    if (delta != nullptr && delta_position < sources_.size()) {
+      sources_[delta_position] = delta;
     }
   }
 

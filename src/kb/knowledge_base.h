@@ -14,7 +14,6 @@
 
 namespace vada {
 
-class DeltaLog;
 class DurabilityManager;
 class WriteGuard;
 
@@ -102,7 +101,7 @@ class KnowledgeBase {
   /// Version counters: 0 for unknown relations; bumped on every mutation.
   uint64_t relation_version(const std::string& name) const;
   /// Logs a read of `name` without reading it, for a step that uses
-  /// state the relation mirrors (a delta-log range, session state).
+  /// state the relation mirrors (session state).
   void NoteRead(const std::string& name) const;
   uint64_t global_version() const { return global_version_; }
 
@@ -135,14 +134,6 @@ class KnowledgeBase {
   }
   DurabilityManager* durability() const { return durability_; }
 
-  /// Attaches (nullptr: detaches) the delta log that records this KB's
-  /// effective row-level changes for incremental consumers
-  /// (kb/delta_log.h). Not owned. Mutations append records as they
-  /// commit; WriteGuard::Rollback rewinds the log to the transaction
-  /// start, so it never holds phantom deltas.
-  void AttachDeltaLog(DeltaLog* delta_log);
-  DeltaLog* delta_log() const { return delta_log_; }
-
   /// Attaches (nullptr: detaches) the step's read log. Not owned.
   void SetReadLog(ReadLog* log) {
     read_log_ = log;
@@ -167,7 +158,6 @@ class KnowledgeBase {
   Catalog catalog_;
   WriteGuard* guard_ = nullptr;  // active transaction guard; not owned
   DurabilityManager* durability_ = nullptr;  // WAL hook; not owned
-  DeltaLog* delta_log_ = nullptr;  // incremental-consumer hook; not owned
   ReadLog* read_log_ = nullptr;    // read-set gate hook; not owned
 };
 

@@ -2,7 +2,6 @@
 #define VADA_WRANGLER_CONFIG_H_
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -15,7 +14,6 @@
 #include "feedback/feedback.h"
 #include "fusion/dedup.h"
 #include "feedback/propagation.h"
-#include "kb/delta_log.h"
 #include "kb/durability.h"
 #include "mapping/executor.h"
 #include "mapping/generator.h"
@@ -40,25 +38,6 @@ struct SourceSelectorOptions {
   /// Master switch; with false, trust scores are still computed (they
   /// weight fusion votes) but nothing is excluded.
   bool exclude_below_min = true;
-};
-
-/// Delta-driven differential maintenance of mapping execution — the
-/// paper's "pay-as-you-go" made incremental (DESIGN.md §5k). With
-/// `enabled`, the session attaches a DeltaLog to the knowledge base and
-/// mapping execution routes feedback/context/source row changes through
-/// a per-mapping DifferentialEvaluator, touching only affected
-/// derivations; results are row-identical to a full re-evaluation at
-/// every setting. Off by default — the execution path is then exactly
-/// the full-re-run one.
-struct IncrementalOptions {
-  bool enabled = false;
-  /// A delta batch whose effective base-fact flips exceed this fraction
-  /// of the evaluator's base facts falls back to one full re-run (<= 0
-  /// forces the full path always; see DifferentialOptions).
-  double max_delta_fraction = 0.25;
-  /// DeltaLog capacity; the oldest records are evicted past it and the
-  /// affected mappings fall back to a full re-initialisation.
-  size_t max_log_records = DeltaLog::kDefaultMaxRecords;
 };
 
 /// How strictly the session enforces static analysis of transducer
@@ -111,12 +90,6 @@ struct WranglerConfig {
   /// no longer be derived into its scratch database. See README
   /// "Performance & tuning".
   datalog::PlannerOptions planner;
-  /// Delta-driven differential maintenance of mapping execution
-  /// (DESIGN.md §5k): with `enabled`, only the derivations affected by
-  /// what actually changed since the previous run are recomputed,
-  /// falling back to a full re-run past `max_delta_fraction`. Results
-  /// are row-identical either way. See README "Performance & tuning".
-  IncrementalOptions incremental;
   /// Knowledge-base durability: write-ahead logging of every KB
   /// mutation, atomic checkpoints and crash recovery at session open
   /// (kb/durability.h, DESIGN.md §5i). Off by default — the commit path
@@ -158,13 +131,6 @@ struct WranglingState {
   /// resulting penalty changes the mappings (see MatchAttribution docs).
   std::vector<MatchAttribution> feedback_attributions;
   std::set<size_t> attributed_feedback_items;
-  /// The session's KB change log when config.incremental.enabled (the
-  /// session owns the log and attaches it to the KB); nullptr otherwise.
-  DeltaLog* delta_log = nullptr;
-  /// Per-mapping differential-maintenance state (DESIGN.md §5k), keyed
-  /// by mapping id; entries of mappings that no longer exist are pruned
-  /// after each mapping-execution run.
-  std::map<std::string, MappingDeltaState> mapping_delta;
   /// Version-keyed snapshot cache for mapping execution's source loads
   /// (always on — correctness is guaranteed by KB relation versions;
   /// see datalog/snapshot_cache.h). Every mapping that reads a source

@@ -179,27 +179,10 @@ Status MappingExecutionBody(WranglingState* state, KnowledgeBase* kb) {
   if (!mappings.ok()) return mappings.status();
   MappingExecutor executor(state->config.planner);
   executor.set_snapshot_cache(&state->mapping_source_cache);
-  const bool incremental =
-      state->config.incremental.enabled && state->delta_log != nullptr;
   for (const Mapping& m : mappings.value()) {
-    Result<Relation> result =
-        incremental ? executor.ExecuteIncremental(
-                          m, target.value(), *kb, *state->delta_log,
-                          state->config.incremental.max_delta_fraction,
-                          &state->mapping_delta[m.id])
-                    : executor.Execute(m, target.value(), *kb);
+    Result<Relation> result = executor.Execute(m, target.value(), *kb);
     if (!result.ok()) return result.status();
     VADA_RETURN_IF_ERROR(WriteMetadataRelation(kb, result.value()));
-  }
-  if (incremental) {
-    // Drop maintained state of mappings that no longer exist.
-    std::set<std::string> live;
-    for (const Mapping& m : mappings.value()) live.insert(m.id);
-    for (auto it = state->mapping_delta.begin();
-         it != state->mapping_delta.end();) {
-      it = live.count(it->first) > 0 ? std::next(it)
-                                     : state->mapping_delta.erase(it);
-    }
   }
   return Status::OK();
 }

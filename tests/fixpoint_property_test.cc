@@ -7,8 +7,8 @@
 // The transducers are captured through config.transducer_decorator. After
 // every Run(), each ready one is executed under a WriteGuard and must
 // leave the global version where it was. Scenarios: the golden demo
-// bootstrap, the twin-session soak stream of
-// incremental_session_soak_test.cc, and a seeded 50-event stream.
+// bootstrap, a 10-event soak stream, a seeded 50-event stream, and a
+// reference-data edit that moves no mapping result.
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +20,7 @@
 #include "extract/open_government.h"
 #include "extract/real_estate.h"
 #include "kb/write_guard.h"
+#include "mapping/mapping.h"
 #include "wrangler/session.h"
 
 namespace vada {
@@ -93,14 +94,26 @@ TEST(FixpointPropertyTest, GoldenDemoScenario) {
   ASSERT_NE(session.result(), nullptr);
 }
 
-/// Replays `events` seeded events on every session in lockstep, checking
-/// the fixpoint after each Run(). The mix is the incremental soak's:
-/// feedback on current result rows, trickling source rows, the address
-/// reference context (once) and user context. With `vary_user_context`,
-/// every user-context event picks one of two statements, so the context
-/// changes more than once.
-void ReplayStream(const std::vector<CheckedSession*>& sessions,
-                  uint64_t seed, int events, bool vary_user_context) {
+/// Versions of the mapping relation and of every mapping's raw result.
+std::vector<uint64_t> MappingResultVersions(const KnowledgeBase& kb) {
+  std::vector<uint64_t> out = {kb.relation_version("mapping")};
+  const Relation* rel = kb.FindRelation("mapping");
+  if (rel == nullptr) return out;
+  Result<std::vector<Mapping>> mappings = MappingsFromRelation(*rel);
+  EXPECT_TRUE(mappings.ok()) << mappings.status().ToString();
+  if (!mappings.ok()) return out;
+  for (const Mapping& m : mappings.value()) {
+    out.push_back(kb.relation_version(m.result_predicate));
+  }
+  return out;
+}
+
+/// A reference binding whose values occur in no source changes what
+/// quality_metrics reports (an accuracy figure for `type`) but moves no
+/// match, no CFD and no mapping result. quality_metrics learns of it
+/// only through the data-context mirror it reads, so the gate must
+/// still re-run it.
+TEST(FixpointPropertyTest, ReferenceBindingThatMovesNoMappingResult) {
   PropertyUniverseOptions uopts;
   uopts.num_properties = 40;
   uopts.num_postcodes = 8;
@@ -111,14 +124,52 @@ void ReplayStream(const std::vector<CheckedSession*>& sessions,
   ExtractionErrorOptions otm;
   otm.seed = 32;
   otm.coverage = 0.6;
-  for (CheckedSession* checked : sessions) {
-    WranglingSession& s = checked->session();
-    ASSERT_TRUE(s.SetTargetSchema(TargetSchema()).ok());
-    ASSERT_TRUE(s.AddSource(ExtractRightmove(truth, rm)).ok());
-    ASSERT_TRUE(s.AddSource(ExtractOnthemarket(truth, otm)).ok());
-    ASSERT_TRUE(s.AddSource(GenerateDeprivation(truth)).ok());
-    checked->RunAndCheck("bootstrap");
-  }
+
+  CheckedSession checked;
+  WranglingSession& session = checked.session();
+  ASSERT_TRUE(session.SetTargetSchema(TargetSchema()).ok());
+  ASSERT_TRUE(session.AddSource(ExtractRightmove(truth, rm)).ok());
+  ASSERT_TRUE(session.AddSource(ExtractOnthemarket(truth, otm)).ok());
+  checked.RunAndCheck("bootstrap");
+  const std::vector<uint64_t> before = MappingResultVersions(session.kb());
+  const uint64_t metrics_before = session.kb().relation_version("quality_metric");
+
+  Relation types(Schema::Untyped("reference_type", {"kind"}));
+  ASSERT_TRUE(types.Insert(Tuple({Value::String("lighthouse")})).ok());
+  ASSERT_TRUE(types.Insert(Tuple({Value::String("windmill")})).ok());
+  ASSERT_TRUE(session
+                  .AddDataContext(types, RelationRole::kReference,
+                                  {{"type", "kind"}})
+                  .ok());
+  checked.RunAndCheck("reference binding");
+  EXPECT_EQ(MappingResultVersions(session.kb()), before);
+  EXPECT_NE(session.kb().relation_version("quality_metric"), metrics_before);
+}
+
+/// Replays `events` seeded events on `checked`, checking the fixpoint
+/// after each Run(). The mix is the paper's pay-as-you-go loop: feedback
+/// on current result rows, trickling source rows, the address reference
+/// context (once) and user context. With `vary_user_context`, every
+/// user-context event picks one of two statements, so the context
+/// changes more than once.
+void ReplayStream(CheckedSession* checked, uint64_t seed, int events,
+                  bool vary_user_context) {
+  PropertyUniverseOptions uopts;
+  uopts.num_properties = 40;
+  uopts.num_postcodes = 8;
+  uopts.seed = 11;
+  GroundTruth truth = GeneratePropertyUniverse(uopts);
+  ExtractionErrorOptions rm;
+  rm.seed = 31;
+  ExtractionErrorOptions otm;
+  otm.seed = 32;
+  otm.coverage = 0.6;
+  WranglingSession& session = checked->session();
+  ASSERT_TRUE(session.SetTargetSchema(TargetSchema()).ok());
+  ASSERT_TRUE(session.AddSource(ExtractRightmove(truth, rm)).ok());
+  ASSERT_TRUE(session.AddSource(ExtractOnthemarket(truth, otm)).ok());
+  ASSERT_TRUE(session.AddSource(GenerateDeprivation(truth)).ok());
+  checked->RunAndCheck("bootstrap");
 
   Rng rng(seed);
   bool added_context = false;
@@ -127,7 +178,7 @@ void ReplayStream(const std::vector<CheckedSession*>& sessions,
     const std::string where = "event " + std::to_string(event);
     switch (rng.UniformInt(0, 3)) {
       case 0: {  // feedback on random current result rows
-        const Relation* result = sessions.front()->session().result();
+        const Relation* result = session.result();
         ASSERT_NE(result, nullptr);
         ASSERT_FALSE(result->rows().empty());
         int items = static_cast<int>(rng.UniformInt(1, 3));
@@ -138,9 +189,7 @@ void ReplayStream(const std::vector<CheckedSession*>& sessions,
           FeedbackItem item{row, attrs[rng.UniformInt(0, attrs.size() - 1)],
                             rng.Bernoulli(0.7) ? FeedbackPolarity::kIncorrect
                                                : FeedbackPolarity::kCorrect};
-          for (CheckedSession* checked : sessions) {
-            ASSERT_TRUE(checked->session().AddFeedback(item).ok());
-          }
+          ASSERT_TRUE(session.AddFeedback(item).ok());
         }
         break;
       }
@@ -152,10 +201,7 @@ void ReplayStream(const std::vector<CheckedSession*>& sessions,
         GroundTruth more = GeneratePropertyUniverse(extra);
         ExtractionErrorOptions err;
         err.seed = 2000 + event;
-        Relation batch = ExtractRightmove(more, err);
-        for (CheckedSession* checked : sessions) {
-          ASSERT_TRUE(checked->session().AddSource(batch).ok());
-        }
+        ASSERT_TRUE(session.AddSource(ExtractRightmove(more, err)).ok());
         break;
       }
       case 2: {  // data context (once)
@@ -164,12 +210,9 @@ void ReplayStream(const std::vector<CheckedSession*>& sessions,
         Relation address = GenerateAddressReference(truth);
         std::vector<ContextCorrespondence> corr = {{"street", "street"},
                                                    {"postcode", "postcode"}};
-        for (CheckedSession* checked : sessions) {
-          ASSERT_TRUE(checked->session()
-                          .AddDataContext(address, RelationRole::kReference,
-                                          corr)
-                          .ok());
-        }
+        ASSERT_TRUE(
+            session.AddDataContext(address, RelationRole::kReference, corr)
+                .ok());
         break;
       }
       default: {  // user context
@@ -182,31 +225,24 @@ void ReplayStream(const std::vector<CheckedSession*>& sessions,
                                     "very strongly", "completeness",
                                     crime_first ? "bedrooms" : "crimerank")
                         .ok());
-        for (CheckedSession* checked : sessions) {
-          ASSERT_TRUE(checked->session().SetUserContext(uc).ok());
-        }
+        ASSERT_TRUE(session.SetUserContext(uc).ok());
         break;
       }
     }
-    for (CheckedSession* checked : sessions) {
-      checked->RunAndCheck(where);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
+    checked->RunAndCheck(where);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
 TEST(FixpointPropertyTest, TwinSessionSoakStream) {
-  WranglerConfig inc_config;
-  inc_config.incremental.enabled = true;
-  CheckedSession incremental(inc_config);
-  CheckedSession oracle;
-  ReplayStream({&incremental, &oracle}, /*seed=*/2026, /*events=*/10,
+  CheckedSession checked;
+  ReplayStream(&checked, /*seed=*/2026, /*events=*/10,
                /*vary_user_context=*/false);
 }
 
 TEST(FixpointPropertyTest, SeededFiftyEventStream) {
   CheckedSession checked;
-  ReplayStream({&checked}, /*seed=*/77, /*events=*/50,
+  ReplayStream(&checked, /*seed=*/77, /*events=*/50,
                /*vary_user_context=*/true);
 }
 

@@ -1,11 +1,8 @@
-// Golden incremental-session regression test (DESIGN.md §5k): the demo
-// scenario is driven through a deterministic feedback/context/source
-// event stream and the final fused result is compared against a
-// canonical snapshot in tests/golden/. The snapshot must be reproduced
-// exactly with differential maintenance off, on, and on with a tiny
-// fallback threshold (every batch becomes a full re-run) — pinning down
-// that delta maintenance never changes what the user sees, only how it
-// is computed.
+// Golden pay-as-you-go regression test: the demo scenario is driven
+// through a deterministic feedback/context/source event stream and the
+// final fused result is compared against a canonical snapshot in
+// tests/golden/, pinning down what the user sees after each kind of
+// incremental input.
 //
 // Regenerate after an intentional semantic change with:
 //   VADA_UPDATE_GOLDEN=1 ./tests/golden_incremental_test
@@ -50,7 +47,7 @@ std::vector<std::string> Canonicalize(const Relation& result) {
 /// The pay-as-you-go event stream: bootstrap, data context, feedback on
 /// implausible bedroom counts, one late source batch. Deterministic —
 /// every seed fixed, feedback rows chosen by a sorted scan.
-std::vector<std::string> RunIncrementalScenario(const WranglerConfig& config) {
+std::vector<std::string> RunPaygScenario() {
   PropertyUniverseOptions uopts;
   uopts.num_properties = 60;
   uopts.num_postcodes = 10;
@@ -62,7 +59,7 @@ std::vector<std::string> RunIncrementalScenario(const WranglerConfig& config) {
   otm_err.seed = 8;
   otm_err.coverage = 0.6;
 
-  WranglingSession session(config);
+  WranglingSession session;
   Schema target = Schema::Untyped(
       "target", {"type", "description", "street", "postcode", "bedrooms",
                  "price", "crimerank"});
@@ -130,15 +127,13 @@ std::vector<std::string> ReadGolden() {
   return lines;
 }
 
-TEST(GoldenIncrementalTest, FeedbackStreamMatchesGoldenWithAndWithoutDeltas) {
-  WranglerConfig incremental;
-  incremental.incremental.enabled = true;
-  std::vector<std::string> baseline = RunIncrementalScenario(incremental);
-  ASSERT_FALSE(baseline.empty());
+TEST(GoldenIncrementalTest, FeedbackStreamMatchesGolden) {
+  std::vector<std::string> result = RunPaygScenario();
+  ASSERT_FALSE(result.empty());
 
   if (std::getenv("VADA_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(kGoldenFile, std::ios::trunc);
-    for (const std::string& line : baseline) out << line << "\n";
+    for (const std::string& line : result) out << line << "\n";
     ASSERT_TRUE(out.good()) << "failed to write " << kGoldenFile;
     GTEST_SKIP() << "golden file regenerated at " << kGoldenFile;
   }
@@ -147,29 +142,7 @@ TEST(GoldenIncrementalTest, FeedbackStreamMatchesGoldenWithAndWithoutDeltas) {
   ASSERT_FALSE(golden.empty())
       << "missing golden snapshot " << kGoldenFile
       << " — run with VADA_UPDATE_GOLDEN=1 to create it";
-  EXPECT_EQ(baseline, golden);
-
-  struct Variant {
-    const char* name;
-    WranglerConfig config;
-  };
-  std::vector<Variant> variants;
-  {
-    Variant v;
-    v.name = "maintenance off (full re-execution)";
-    variants.push_back(v);
-  }
-  {
-    Variant v;
-    v.name = "maintenance on, every batch falls back";
-    v.config.incremental.enabled = true;
-    v.config.incremental.max_delta_fraction = 0.0;  // <= 0: always full
-    variants.push_back(v);
-  }
-  for (const Variant& v : variants) {
-    SCOPED_TRACE(v.name);
-    EXPECT_EQ(RunIncrementalScenario(v.config), golden);
-  }
+  EXPECT_EQ(result, golden);
 }
 
 }  // namespace
