@@ -16,11 +16,13 @@
 // at least a 5x reduction.
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
-#include "datalog/analysis/dataflow/optimizer.h"
 #include "datalog/evaluator.h"
+#include "datalog/goal_rewrite.h"
 #include "datalog/parser.h"
+#include "obs/metrics.h"
 #include "wrangler/session.h"
 
 namespace {
@@ -158,18 +160,19 @@ int main() {
                static_cast<double>(fast.stats.index_builds));
   }
 
-  // J2: the goal-directed ProgramOptimizer (DESIGN.md §5h) on bound
-  // recursive queries, on top of the default planner. The baseline
-  // evaluates the written program; the optimized run evaluates the
-  // magic-set rewrite toward the goal (what Query does with
-  // PlannerOptions::optimize), so join work only covers the demanded
-  // slice of the recursion instead of the full transitive closure.
-  std::printf("\nJ2: goal-directed optimizer (magic sets) vs planner alone\n\n");
-  Table opt_table({"workload", "results", "planner ms", "optimized ms",
-                   "planner work", "optimized work", "work reduction"});
+  // J2: what Query ships for a goal (DESIGN.md §5h) against the
+  // default planner on the written program. Query evaluates only the
+  // goal's cone and applies magic sets on closed demand, so on the
+  // left-recursive rows join work covers the demanded slice of the
+  // recursion instead of the full transitive closure. Query's time
+  // includes the rewrite.
+  std::printf("\nJ2: Query (goal-directed rewrite) vs planner alone\n\n");
+  Table opt_table({"workload", "results", "planner ms", "query ms",
+                   "planner work", "query work", "work reduction", "rewrite"});
   // Left-recursive tc keeps the bound source in the recursive call, so
-  // the magic slice stays a single frontier; right-recursive tc would
-  // demand every suffix and win nothing on a chain.
+  // demand stays the goal's constant (closed). Right-recursive tc and
+  // same-generation demand every node the recursion passes through
+  // (open demand), so Query declines magic there.
   Workload goal_workloads[] = {
       {"goal_tc_chain_256",
        "tc(X, Y) :- edge(X, Y). tc(X, Y) :- tc(X, Z), edge(Z, Y). "
@@ -183,6 +186,10 @@ int main() {
        "sg(X, X) :- edge(X, Y). sg(X, Y) :- edge(A, X), sg(A, B), edge(B, Y). "
        "q(Y) :- sg(4, Y).",
        "q", ChainDb(128)},
+      {"goal_tc_right_chain_256",
+       "tc(X, Y) :- edge(X, Y). tc(X, Y) :- edge(X, Z), tc(Z, Y). "
+       "q(Y) :- tc(1, Y).",
+       "q", ChainDb(256)},
   };
   double best_opt_reduction = 0.0;
   for (Workload& w : goal_workloads) {
@@ -194,32 +201,37 @@ int main() {
     }
     Measured base = RunProgram(program.value(), w.db, planner, w.goal);
 
-    namespace dataflow = datalog::dataflow;
-    dataflow::EdbSeeds seeds = dataflow::SeedsFromDatabase(w.db);
-    dataflow::OptimizeResult optimized =
-        dataflow::OptimizeProgram(program.value(), w.goal, seeds);
-    Measured fast = RunProgram(optimized.program, w.db, planner, w.goal);
-    double reduction =
-        fast.work > 0 ? static_cast<double>(base.work) / fast.work : 0.0;
+    obs::MetricsRegistry metrics;
+    EvalOptions query_options;
+    query_options.metrics = &metrics;
+    Database db = w.db;
+    size_t results = 0;
+    double query_ms = TimeMs([&] {
+      Result<std::vector<Tuple>> answer =
+          datalog::Query(program.value(), &db, w.goal, query_options);
+      if (answer.ok()) results = answer.value().size();
+    });
+    size_t query_work = SessionJoinWork(metrics.Snapshot());
+    datalog::RewriteReport rewrite =
+        datalog::RewriteForGoal(program.value(), w.goal, w.db).report;
+    double reduction = query_work > 0
+                           ? static_cast<double>(base.work) / query_work
+                           : 0.0;
     best_opt_reduction = std::max(best_opt_reduction, reduction);
-    if (base.results != fast.results) {
+    if (base.results != results) {
       std::fprintf(stderr, "%s: RESULT MISMATCH %zu vs %zu\n", w.name.c_str(),
-                   base.results, fast.results);
+                   base.results, results);
     }
-    if (!optimized.report.magic_applied) {
-      std::fprintf(stderr, "%s: magic sets not applied (%s)\n", w.name.c_str(),
-                   optimized.report.magic_fallback.c_str());
-    }
-    opt_table.AddRow({w.name, std::to_string(fast.results), Fmt(base.ms, 1),
-                      Fmt(fast.ms, 1), std::to_string(base.work),
-                      std::to_string(fast.work), Fmt(reduction, 1) + "x"});
+    opt_table.AddRow({w.name, std::to_string(results), Fmt(base.ms, 1),
+                      Fmt(query_ms, 1), std::to_string(base.work),
+                      std::to_string(query_work), Fmt(reduction, 1) + "x",
+                      rewrite.Summary()});
     report.Add(w.name + "_planner_work", static_cast<double>(base.work));
-    report.Add(w.name + "_optimized_work", static_cast<double>(fast.work));
+    report.Add(w.name + "_query_work", static_cast<double>(query_work));
     report.Add(w.name + "_work_reduction", reduction);
     report.Add(w.name + "_planner_ms", base.ms);
-    report.Add(w.name + "_optimized_ms", fast.ms);
-    report.Add(w.name + "_magic_rules",
-               static_cast<double>(optimized.report.magic_rules));
+    report.Add(w.name + "_query_ms", query_ms);
+    report.Add(w.name + "_magic_applied", rewrite.magic_applied ? 1.0 : 0.0);
   }
   opt_table.Print();
 
@@ -272,7 +284,7 @@ int main() {
   table.Print();
   std::printf("\nscenario_1000 join-work reduction: %.1fx (target >= 5x)\n",
               reduction);
-  std::printf("best optimizer join-work reduction: %.1fx (target >= 2x)\n",
+  std::printf("best Query join-work reduction: %.1fx (target >= 2x)\n",
               best_opt_reduction);
   report.WriteJson();
   return (reduction >= 5.0 && best_opt_reduction >= 2.0) ? 0 : 1;

@@ -1,13 +1,15 @@
 // Experiment O1 — observability overhead (DESIGN.md §5g): what does the
 // introspection layer cost when it is off, on, and actively scraped?
 //
-// Four configurations bootstrap the demonstration scenario:
+// Five configurations bootstrap the demonstration scenario:
 //
 //  1. obs disabled          — ObsOptions{enabled = false}; every
 //     instrumentation site reduces to a null-pointer check. This is the
 //     zero-cost contract: it must stay within noise (<1%) of...
 //  2. obs enabled, no HTTP  — metrics + spans recorded in-process,
 //     http_port unset (the default -1), no exposition thread.
+//  2b. metrics only         — the same with collect_spans = false, so
+//     rows 1, 2b and 2 split the enabled cost into metrics and spans.
 //  3. obs enabled + HTTP    — introspection server on an ephemeral port,
 //     idle (bound and listening, never scraped).
 //  4. obs enabled + scrapes — same, with a /metrics GET after every
@@ -117,6 +119,8 @@ int main() {
   obs::ObsOptions disabled;
   disabled.enabled = false;
   obs::ObsOptions enabled;  // defaults: metrics + spans, no HTTP
+  obs::ObsOptions metrics_only = enabled;
+  metrics_only.collect_spans = false;
   obs::ObsOptions with_http = enabled;
   with_http.http_port = 0;  // ephemeral
 
@@ -125,12 +129,14 @@ int main() {
       [&] { return bootstrap_ms(enabled, false); },
       [&] { return bootstrap_ms(with_http, false); },
       [&] { return bootstrap_ms(with_http, true); },
+      [&] { return bootstrap_ms(metrics_only, false); },
   };
   std::vector<Measurement> boot = MeasureInterleaved(kReps, kWarmup, configs);
   const Measurement& off = boot[0];
   const Measurement& on = boot[1];
   const Measurement& http_idle = boot[2];
   const Measurement& http_scrape = boot[3];
+  const Measurement& metrics = boot[4];
 
   // EXPLAIN ANALYZE attribution cost vs plain Run of the same program.
   const std::string kProgram =
@@ -177,6 +183,8 @@ int main() {
 
   Table table({"configuration", "bootstrap ms", "vs disabled"});
   table.AddRow({"obs disabled", FmtSpread(off), "--"});
+  table.AddRow({"metrics only (collect_spans = false)", FmtSpread(metrics),
+                Fmt(pct(off, metrics), 1) + "%"});
   table.AddRow({"obs enabled, no http", FmtSpread(on),
                 Fmt(pct(off, on), 1) + "%"});
   table.AddRow({"obs + http idle", FmtSpread(http_idle),
@@ -192,9 +200,11 @@ int main() {
   BenchReport report("obs_overhead");
   report.AddMeasurement("disabled_ms", off);
   report.AddMeasurement("enabled_ms", on);
+  report.AddMeasurement("metrics_only_ms", metrics);
   report.AddMeasurement("http_idle_ms", http_idle);
   report.AddMeasurement("http_scrape_ms", http_scrape);
   report.Add("enabled_overhead_pct", pct(off, on));
+  report.Add("metrics_only_overhead_pct", pct(off, metrics));
   report.AddMeasurement("run_ms", run);
   report.AddMeasurement("explain_analyze_ms", explain);
   report.WriteJson();

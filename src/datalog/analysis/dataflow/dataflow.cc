@@ -590,16 +590,6 @@ bool DataflowResult::RuleProvablyEmpty(size_t rule_index) const {
          !rule_findings[rule_index].empty();
 }
 
-std::map<std::string, size_t> DataflowResult::CardinalityPriors() const {
-  std::map<std::string, size_t> priors;
-  for (const auto& [pred, pf] : predicates) {
-    if (pf.cardinality > 0 && pf.cardinality != kCardUnbounded) {
-      priors[pred] = pf.cardinality;
-    }
-  }
-  return priors;
-}
-
 EdbSeeds SeedsFromDatabase(const Database& db, size_t scan_cap) {
   EdbSeeds seeds;
   for (const std::string& pred : db.Predicates()) {

@@ -38,7 +38,7 @@ EdbSeeds SeedsFromDatabase(const Database& db, size_t scan_cap = 4096);
 struct DataflowOptions {
   /// Open world (lint without a knowledge base): body predicates that
   /// are neither derived by the program nor seeded are assumed to
-  /// possibly hold any facts (⊤). Closed world (optimizer over a real
+  /// possibly hold any facts (⊤). Closed world (analysis over a real
   /// database): such predicates are provably empty.
   bool assume_unknown_nonempty = true;
   /// Fixpoint rounds before intervals widen to ±inf. The other domains
@@ -94,10 +94,6 @@ struct DataflowResult {
   }
   /// True when some finding proves the rule can never derive a fact.
   bool RuleProvablyEmpty(size_t rule_index) const;
-
-  /// Finite, non-zero cardinality bounds — the planner's static priors
-  /// for predicates with no runtime stats (PlannerOptions::priors).
-  std::map<std::string, size_t> CardinalityPriors() const;
 };
 
 /// Abstract interpretation of `program` over the lattices of lattice.h,

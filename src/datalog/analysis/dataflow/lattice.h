@@ -21,8 +21,8 @@ namespace vada::datalog::dataflow {
 /// All three are *over*-approximations of the concrete value set: ⊥
 /// (empty) means "no value can ever occur here", ⊤ means "anything".
 /// Soundness contract: every concrete fact the engine can derive is
-/// contained in the abstraction, so emptiness proofs (the lint verdicts
-/// and the optimizer's dead-rule elimination) are exact.
+/// contained in the abstraction, so emptiness proofs (the lint verdicts)
+/// are exact.
 
 // ---------------------------------------------------------------------
 // TypeSet: a bitmask over ValueType. Finite lattice of height 5.

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <set>
 
-#include "datalog/analysis/dataflow/optimizer.h"
 #include "datalog/explain.h"
+#include "datalog/goal_rewrite.h"
 #include "datalog/rule_executor.h"
 #include "datalog/symbol_table.h"
 #include "obs/span.h"
@@ -275,7 +274,6 @@ RuleExplain BuildRuleExplain(const CompiledRule& rule,
     le.kind = LiteralKindName(lit.kind);
     le.bound_positions = lit.bound_positions;
     le.estimated_cost = lit.estimated_cost;
-    le.static_prior = lit.static_prior;
     le.access = PredictAccess(lit, planner);
     out.literals.push_back(std::move(le));
   }
@@ -323,7 +321,7 @@ Status Evaluator::Explain(Database* db, PlanExplain* out, bool analyze,
     std::vector<RuleExplain> normal;
     for (const Rule& r : program_.rules) {
       if (stratum_preds.count(r.head.predicate) == 0) continue;
-      RuleCompiler compiler(stratum_preds, db, options_.planner);
+      RuleCompiler compiler(stratum_preds, db);
       CompiledRule cr = compiler.Compile(r);
       RuleExplain rex = BuildRuleExplain(cr, options_.planner);
       if (rex.aggregate) {
@@ -362,7 +360,7 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
     std::vector<CompiledRule> aggregate_rules;
     for (const Rule& r : program_.rules) {
       if (stratum_preds.count(r.head.predicate) == 0) continue;
-      RuleCompiler compiler(stratum_preds, db, options_.planner);
+      RuleCompiler compiler(stratum_preds, db);
       CompiledRule cr = compiler.Compile(r);
       if (cr.aggregates.empty()) {
         normal_rules.push_back(std::move(cr));
@@ -610,27 +608,13 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
 Result<std::vector<Tuple>> Query(const Program& program, Database* db,
                                  const std::string& goal_predicate,
                                  const EvalOptions& options) {
-  // Opt-in goal-directed rewrite: the optimized program derives exactly
-  // the same goal facts (the differential fuzz harness checks this
-  // bit-for-bit), so Query — which only exposes the goal relation — may
-  // substitute it freely. The static cardinality bounds computed along
-  // the way become the planner's priors for still-empty IDB relations.
-  const Program* to_run = &program;
-  dataflow::OptimizeResult optimized;
-  EvalOptions eval_options = options;
-  if (options.planner.optimize) {
-    dataflow::EdbSeeds seeds = dataflow::SeedsFromDatabase(*db);
-    optimized = dataflow::OptimizeProgram(program, goal_predicate, seeds);
-    to_run = &optimized.program;
-    dataflow::DataflowOptions dopt;
-    dopt.assume_unknown_nonempty = false;
-    dataflow::DataflowResult df =
-        dataflow::AnalyzeDataflow(optimized.program, seeds, dopt);
-    eval_options.planner.priors =
-        std::make_shared<const std::map<std::string, size_t>>(
-            df.CardinalityPriors());
-  }
-  Evaluator eval(*to_run, eval_options);
+  // The rewritten program derives exactly the same goal facts (the
+  // differential fuzz harness checks this bit-for-bit), so Query, which
+  // only exposes the goal relation, may substitute it freely.
+  GoalRewrite rewrite = RewriteForGoal(program, goal_predicate, *db);
+  Evaluator eval(rewrite.program.has_value() ? std::move(*rewrite.program)
+                                             : program,
+                 options);
   VADA_RETURN_IF_ERROR(eval.Prepare());
   VADA_RETURN_IF_ERROR(eval.Run(db));
   std::vector<Tuple> out = db->facts(goal_predicate);

@@ -109,7 +109,10 @@ class Evaluator {
 
 /// One-shot helper: validates, stratifies and runs `program` against
 /// `db`, then returns the facts of `goal_predicate` (sorted, for
-/// deterministic comparison).
+/// deterministic comparison). Only the rules the goal reaches run, with
+/// magic sets on closed demand (RewriteForGoal, datalog/goal_rewrite.h),
+/// so facts of predicates the goal does not need may not be derived
+/// into `db`; a program with nothing to rewrite runs as is.
 Result<std::vector<Tuple>> Query(const Program& program, Database* db,
                                  const std::string& goal_predicate,
                                  const EvalOptions& options = EvalOptions());
@@ -120,7 +123,7 @@ std::optional<int> CompareValues(const Value& a, const Value& b);
 
 /// Truth of `a op b` under CompareValues semantics (incomparable values
 /// satisfy only `!=`) — the comparison-literal semantics, shared with
-/// the dataflow analysis and optimizer so static verdicts match runs.
+/// the dataflow analysis so static verdicts match runs.
 bool EvalCompare(CompareOp op, const Value& a, const Value& b);
 
 /// Applies `op`; int op int stays int (except division, always double).

@@ -55,9 +55,6 @@ std::string PlanExplain::ToText() const {
                " " + lit.text + "  access=" + lit.access;
         if (lit.kind == "atom") {
           out += " est=" + std::to_string(lit.estimated_cost);
-          if (lit.static_prior > 0) {
-            out += " prior=" + std::to_string(lit.static_prior);
-          }
           if (!lit.bound_positions.empty()) {
             out += " bound=[" + JoinPositions(lit.bound_positions) + "]";
           }
@@ -114,7 +111,6 @@ std::string PlanExplain::ToJson() const {
         out += ",\"text\":\"" + obs::JsonEscape(lit.text) + "\"";
         out += ",\"access\":\"" + obs::JsonEscape(lit.access) + "\"";
         out += ",\"estimated_cost\":" + std::to_string(lit.estimated_cost);
-        out += ",\"static_prior\":" + std::to_string(lit.static_prior);
         out += ",\"bound_positions\":[" ;
         for (size_t b = 0; b < lit.bound_positions.size(); ++b) {
           if (b > 0) out += ",";

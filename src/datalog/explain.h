@@ -40,12 +40,6 @@ struct LiteralExplain {
   /// The planner's candidate-count estimate when it placed this literal
   /// (atoms only; see planner.cc EstimatedCost).
   size_t estimated_cost = 0;
-  /// Static cardinality bound from the dataflow analysis that stood in
-  /// for the runtime fact count (the relation was empty at compile
-  /// time); 0 when the estimate came from observed facts. Rendered next
-  /// to the actual counters so inferred and observed numbers can be
-  /// compared side by side.
-  size_t static_prior = 0;
   /// Access path: "index" (composite bound-prefix hash index), "scan"
   /// (full relation), "check" (negation containment test), "filter"
   /// (comparison/assignment).

@@ -1,4 +1,4 @@
-#include "datalog/analysis/dataflow/optimizer.h"
+#include "datalog/goal_rewrite.h"
 
 #include <algorithm>
 #include <deque>
@@ -7,115 +7,25 @@
 #include <utility>
 #include <vector>
 
-#include "datalog/evaluator.h"
+#include "datalog/database.h"
 #include "datalog/stratify.h"
 
-namespace vada::datalog::dataflow {
+namespace vada::datalog {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Constant folding.
-// ---------------------------------------------------------------------
-
-void SubstituteVar(Term* t, const std::string& var, const Value& c) {
-  if (t->is_variable() && t->var() == var) {
-    SourcePos pos = t->pos();
-    *t = Term::Constant(c);
-    t->set_pos(pos);
-  }
+bool IsAtomLiteral(const Literal& lit) {
+  return lit.kind == Literal::Kind::kAtom ||
+         lit.kind == Literal::Kind::kNegatedAtom;
 }
 
-/// Folds one rule in place: constant arithmetic collapses to constant
-/// copies, always-true constant guards disappear, and constant copy
-/// assignments substitute into the rest of the rule. Only assignments
-/// that are the *sole* binder of their variable fold — an assignment
-/// over a variable bound elsewhere is an equality check with coercing
-/// semantics (Int(7) passes a Double(7.0) check) that exact
-/// substitution would not preserve. Always-false guards are left in
-/// place for the dataflow pass to prove the rule dead.
-void FoldRule(Rule* rule, OptimizerReport* report) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-
-    for (Literal& lit : rule->body) {
-      if (lit.kind == Literal::Kind::kAssignment &&
-          lit.arith_op != ArithOp::kNone && lit.lhs.is_constant() &&
-          lit.rhs.is_constant()) {
-        std::optional<Value> r =
-            ApplyArith(lit.arith_op, lit.lhs.value(), lit.rhs.value());
-        if (!r.has_value()) continue;  // fails at runtime; leave as-is
-        SourcePos pos = lit.lhs.pos();
-        lit.arith_op = ArithOp::kNone;
-        lit.lhs = Term::Constant(std::move(*r));
-        lit.lhs.set_pos(pos);
-        changed = true;
-      }
-    }
-
-    for (auto it = rule->body.begin(); it != rule->body.end(); ++it) {
-      if (it->kind == Literal::Kind::kComparison && it->lhs.is_constant() &&
-          it->rhs.is_constant() &&
-          EvalCompare(it->compare_op, it->lhs.value(), it->rhs.value())) {
-        rule->body.erase(it);
-        ++report->folded_comparisons;
-        changed = true;
-        break;
-      }
-    }
-    if (changed) continue;
-
-    for (size_t li = 0; li < rule->body.size(); ++li) {
-      const Literal& lit = rule->body[li];
-      if (lit.kind != Literal::Kind::kAssignment ||
-          lit.arith_op != ArithOp::kNone || !lit.lhs.is_constant()) {
-        continue;
-      }
-      const std::string z = lit.assign_var;
-      bool sole_binder = true;
-      for (size_t lj = 0; lj < rule->body.size() && sole_binder; ++lj) {
-        const Literal& other = rule->body[lj];
-        if (other.kind == Literal::Kind::kAtom) {
-          for (const Term& t : other.atom.terms) {
-            if (t.is_variable() && t.var() == z) sole_binder = false;
-          }
-        } else if (lj != li && other.kind == Literal::Kind::kAssignment &&
-                   other.assign_var == z) {
-          sole_binder = false;
-        }
-      }
-      for (const Term& t : rule->head.terms) {
-        if (t.is_aggregate() && t.var() == z) sole_binder = false;
-      }
-      if (!sole_binder) continue;
-
-      const Value c = lit.lhs.value();
-      rule->body.erase(rule->body.begin() + static_cast<long>(li));
-      for (Term& t : rule->head.terms) SubstituteVar(&t, z, c);
-      for (Literal& other : rule->body) {
-        switch (other.kind) {
-          case Literal::Kind::kAtom:
-          case Literal::Kind::kNegatedAtom:
-            for (Term& t : other.atom.terms) SubstituteVar(&t, z, c);
-            break;
-          case Literal::Kind::kComparison:
-          case Literal::Kind::kAssignment:
-            SubstituteVar(&other.lhs, z, c);
-            SubstituteVar(&other.rhs, z, c);
-            break;
-        }
-      }
-      ++report->folded_assignments;
-      changed = true;
-      break;
-    }
-  }
+/// `m(X) :- m(X)`: the demand a recursive call passes on unchanged.
+bool IsIdentityCopy(const Rule& rule) {
+  return rule.body.size() == 1 &&
+         rule.body[0].kind == Literal::Kind::kAtom &&
+         rule.body[0].atom.predicate == rule.head.predicate &&
+         rule.body[0].atom.terms == rule.head.terms;
 }
-
-// ---------------------------------------------------------------------
-// Magic-set transformation.
-// ---------------------------------------------------------------------
 
 /// Demand-driven specialization toward the goal: predicates called with
 /// bound arguments get adorned copies (`p__bf`) guarded by demand
@@ -126,38 +36,36 @@ void FoldRule(Rule* rule, OptimizerReport* report) {
 ///    its full extension);
 ///  * negated calls keep the original predicate, whose rules are then
 ///    retained in full;
-///  * callees that may also hold EDB facts get a bridge rule copying
+///  * predicates defined by facts alone are read like stored relations;
+///  * callees that may also hold stored facts get a bridge rule copying
 ///    the demanded slice of the stored relation;
 ///  * the transformed program is re-validated and re-stratified, with
 ///    rollback on failure.
+/// Only reachable rules are emitted, so the output is also cone-pruned.
 class MagicTransformer {
  public:
   MagicTransformer(const Program& program, const std::string& goal,
-                   const EdbSeeds& seeds, bool assume_unknown_empty)
-      : program_(program),
-        goal_(goal),
-        seeds_(seeds),
-        assume_unknown_empty_(assume_unknown_empty) {}
+                   const Database& db)
+      : program_(program), goal_(goal), db_(db) {}
 
-  /// Returns true (and fills `out`) when specialization applied; false
-  /// when the program has nothing to specialize or the transform had
-  /// to bail (name collision, size explosion).
-  bool Run(Program* out, OptimizerReport* report) {
+  /// Returns true (and fills `out`) when specialization applied on
+  /// closed demand; false when the program has nothing to specialize,
+  /// the demand is open (reported through `magic_fallback`), or the
+  /// transform had to bail (name collision, size explosion).
+  bool Run(Program* out, RewriteReport* report) {
     for (const Rule& r : program_.rules) {
-      idb_.insert(r.head.predicate);
+      if (!r.IsFact()) derived_.insert(r.head.predicate);
       rules_by_head_[r.head.predicate].push_back(&r);
       if (r.HasAggregates()) aggregate_heads_.insert(r.head.predicate);
       existing_.insert(r.head.predicate);
       for (const Literal& lit : r.body) {
-        if (lit.kind == Literal::Kind::kAtom ||
-            lit.kind == Literal::Kind::kNegatedAtom) {
-          existing_.insert(lit.atom.predicate);
-        }
+        if (IsAtomLiteral(lit)) existing_.insert(lit.atom.predicate);
       }
     }
     EnqueueFull(goal_);
     const size_t rule_cap = 8 * program_.rules.size() + 64;
     while (!full_queue_.empty() || !adorned_queue_.empty()) {
+      if (open_demand_) break;  // reported below
       if (failed_ || transformed_.size() + magic_rules_.size() > rule_cap) {
         return false;
       }
@@ -179,6 +87,10 @@ class MagicTransformer {
       for (const Rule* r : it->second) {
         TransformRule(*r, ad);
       }
+    }
+    if (open_demand_) {
+      report->magic_fallback = "open demand";
+      return false;
     }
     if (failed_ || specialized_calls_ == 0) return false;
 
@@ -214,11 +126,7 @@ class MagicTransformer {
   /// the adorned copies only re-derive the rule part, so the demanded
   /// slice of the stored relation is bridged over explicitly.
   void MaybeEmitEdbBridge(const std::string& pred, const std::string& ad) {
-    auto seed = seeds_.find(pred);
-    const bool may_have_edb =
-        (seed != seeds_.end() && seed->second.cardinality > 0) ||
-        (seed == seeds_.end() && !assume_unknown_empty_);
-    if (!may_have_edb) return;
+    if (db_.FactCount(pred) == 0) return;
     Rule bridge;
     bridge.head.predicate = SpecName(pred, ad);
     Atom magic;
@@ -283,7 +191,7 @@ class MagicTransformer {
             ad.push_back(bound ? 'b' : 'f');
             any_bound |= bound;
           }
-          const bool specialize = any_bound && idb_.count(q) > 0 &&
+          const bool specialize = any_bound && derived_.count(q) > 0 &&
                                   aggregate_heads_.count(q) == 0;
           Literal nl = lit;
           if (specialize) {
@@ -297,11 +205,14 @@ class MagicTransformer {
               if (ad[i] == 'b') magic.head.terms.push_back(lit.atom.terms[i]);
             }
             magic.body = ready_prefix;
+            if (!magic.IsFact() && !IsIdentityCopy(magic)) {
+              open_demand_ = true;
+            }
             magic_rules_.push_back(std::move(magic));
             EnqueueAdorned(q, ad);
             nl.atom.predicate = SpecName(q, ad);
             ++specialized_calls_;
-          } else if (idb_.count(q) > 0) {
+          } else {
             EnqueueFull(q);
           }
           out.body.push_back(nl);
@@ -312,9 +223,7 @@ class MagicTransformer {
           break;
         }
         case Literal::Kind::kNegatedAtom: {
-          if (idb_.count(lit.atom.predicate) > 0) {
-            EnqueueFull(lit.atom.predicate);
-          }
+          EnqueueFull(lit.atom.predicate);
           out.body.push_back(lit);
           bool ready = true;
           for (const Term& t : lit.atom.terms) {
@@ -354,10 +263,9 @@ class MagicTransformer {
 
   const Program& program_;
   const std::string goal_;
-  const EdbSeeds& seeds_;
-  const bool assume_unknown_empty_;
+  const Database& db_;
 
-  std::set<std::string> idb_;
+  std::set<std::string> derived_;  // heads of rules with a body
   std::set<std::string> aggregate_heads_;
   std::set<std::string> existing_;
   std::map<std::string, std::vector<const Rule*>> rules_by_head_;
@@ -372,23 +280,64 @@ class MagicTransformer {
   size_t specialized_calls_ = 0;
   size_t specialized_count_ = 0;
   bool failed_ = false;
+  bool open_demand_ = false;
 };
+
+/// The goal's cone (every predicate a rule of a reached predicate
+/// reads, the goal included) and whether some predicate in it depends
+/// on itself.
+struct Cone {
+  std::set<std::string> predicates;
+  bool recursive = false;
+};
+
+Cone GoalCone(const Program& program, const std::string& goal) {
+  // Derived predicate -> the derived predicates its rules read.
+  std::map<std::string, std::set<std::string>> calls;
+  for (const Rule& r : program.rules) calls[r.head.predicate];
+  for (const Rule& r : program.rules) {
+    for (const Literal& lit : r.body) {
+      if (IsAtomLiteral(lit) && calls.count(lit.atom.predicate) > 0) {
+        calls[r.head.predicate].insert(lit.atom.predicate);
+      }
+    }
+  }
+  Cone cone;
+  std::vector<std::string> stack{goal};
+  while (!stack.empty()) {
+    std::string pred = std::move(stack.back());
+    stack.pop_back();
+    if (!cone.predicates.insert(pred).second) continue;
+    auto it = calls.find(pred);
+    if (it == calls.end()) continue;
+    for (const std::string& q : it->second) stack.push_back(q);
+  }
+  for (const std::string& pred : cone.predicates) {
+    if (cone.recursive) break;
+    auto it = calls.find(pred);
+    if (it == calls.end()) continue;
+    std::set<std::string> seen;
+    std::vector<std::string> reach(it->second.begin(), it->second.end());
+    while (!reach.empty() && !cone.recursive) {
+      std::string q = std::move(reach.back());
+      reach.pop_back();
+      if (q == pred) cone.recursive = true;
+      if (!seen.insert(q).second) continue;
+      const std::set<std::string>& next = calls.at(q);
+      reach.insert(reach.end(), next.begin(), next.end());
+    }
+  }
+  return cone;
+}
 
 }  // namespace
 
-std::string OptimizerReport::Summary() const {
+std::string RewriteReport::Summary() const {
   std::string out;
   auto add = [&out](const std::string& part) {
     if (!out.empty()) out += ", ";
     out += part;
   };
-  if (folded_assignments > 0) {
-    add(std::to_string(folded_assignments) + " assignment(s) folded");
-  }
-  if (folded_comparisons > 0) {
-    add(std::to_string(folded_comparisons) + " guard(s) folded");
-  }
-  if (dead_rules > 0) add(std::to_string(dead_rules) + " dead rule(s)");
   if (unreachable_rules > 0) {
     add(std::to_string(unreachable_rules) + " unreachable rule(s)");
   }
@@ -397,93 +346,73 @@ std::string OptimizerReport::Summary() const {
         " specialized rule(s), " + std::to_string(magic_rules) +
         " demand rule(s)");
   } else if (!magic_fallback.empty()) {
-    add("magic rolled back: " + magic_fallback);
+    add("magic declined: " + magic_fallback);
   }
   if (out.empty()) out = "no rewrites applied";
   return out;
 }
 
-OptimizeResult OptimizeProgram(const Program& program,
-                               const std::string& goal_predicate,
-                               const EdbSeeds& seeds,
-                               const OptimizerOptions& options) {
-  OptimizeResult result;
-  result.program = program;
-  OptimizerReport& report = result.report;
-
-  if (options.fold_constants) {
-    for (Rule& rule : result.program.rules) FoldRule(&rule, &report);
+GoalRewrite RewriteForGoal(const Program& program, const std::string& goal,
+                           const Database& db) {
+  GoalRewrite result;
+  // Every rule derives the goal from relations no rule derives — the
+  // shape of every dependency check: nothing to prune or specialize, so
+  // answer without building the cone.
+  auto reads_goal = [&goal](const Literal& lit) {
+    return IsAtomLiteral(lit) && lit.atom.predicate == goal;
+  };
+  if (std::all_of(program.rules.begin(), program.rules.end(),
+                  [&](const Rule& r) {
+                    return r.head.predicate == goal &&
+                           std::none_of(r.body.begin(), r.body.end(),
+                                        reads_goal);
+                  })) {
+    return result;
+  }
+  RewriteReport& report = result.report;
+  const Cone cone = GoalCone(program, goal);
+  for (const Rule& rule : program.rules) {
+    if (cone.predicates.count(rule.head.predicate) == 0) {
+      ++report.unreachable_rules;
+    }
+  }
+  if (report.unreachable_rules == 0 && !cone.recursive) return result;
+  // Pruning must not hide an unsafe rule the caller would otherwise be
+  // told about.
+  if (!program.Validate().ok()) {
+    report = RewriteReport{};
+    return result;
   }
 
-  if (options.eliminate_dead) {
-    DataflowOptions dopt;
-    dopt.assume_unknown_nonempty = !options.assume_unknown_empty;
-    DataflowResult df = AnalyzeDataflow(result.program, seeds, dopt);
-    std::vector<Rule> kept;
-    kept.reserve(result.program.rules.size());
-    for (size_t ri = 0; ri < result.program.rules.size(); ++ri) {
-      if (df.RuleProvablyEmpty(ri)) {
-        ++report.dead_rules;
-      } else {
-        kept.push_back(std::move(result.program.rules[ri]));
-      }
-    }
-    result.program.rules = std::move(kept);
-  }
-
-  if (options.eliminate_unreachable && !goal_predicate.empty()) {
-    std::set<std::string> reachable{goal_predicate};
-    bool grew = true;
-    while (grew) {
-      grew = false;
-      for (const Rule& rule : result.program.rules) {
-        if (reachable.count(rule.head.predicate) == 0) continue;
-        for (const Literal& lit : rule.body) {
-          if (lit.kind != Literal::Kind::kAtom &&
-              lit.kind != Literal::Kind::kNegatedAtom) {
-            continue;
-          }
-          if (reachable.insert(lit.atom.predicate).second) grew = true;
-        }
-      }
-    }
-    std::vector<Rule> kept;
-    kept.reserve(result.program.rules.size());
-    for (Rule& rule : result.program.rules) {
-      if (reachable.count(rule.head.predicate) > 0) {
-        kept.push_back(std::move(rule));
-      } else {
-        ++report.unreachable_rules;
-      }
-    }
-    result.program.rules = std::move(kept);
-  }
-
-  if (options.magic_sets && !goal_predicate.empty()) {
-    MagicTransformer magic(result.program, goal_predicate, seeds,
-                           options.assume_unknown_empty);
+  if (cone.recursive) {
+    MagicTransformer magic(program, goal, db);
     Program transformed;
     if (magic.Run(&transformed, &report)) {
       Status valid = transformed.Validate();
-      if (valid.ok()) {
-        Result<Stratification> strat = Stratify(transformed);
-        if (strat.ok()) {
-          result.program = std::move(transformed);
-          report.magic_applied = true;
-        } else {
-          report.magic_fallback = strat.status().message();
-        }
-      } else {
-        report.magic_fallback = valid.message();
+      Result<Stratification> strat =
+          valid.ok() ? Stratify(transformed)
+                     : Result<Stratification>(valid);
+      if (strat.ok()) {
+        report.magic_applied = true;
+        result.program = std::move(transformed);
+        return result;
       }
-      if (!report.magic_applied) {
-        report.magic_rules = 0;
-        report.specialized_rules = 0;
-      }
+      report.magic_fallback = strat.status().message();
+      report.magic_rules = 0;
+      report.specialized_rules = 0;
     }
   }
 
+  if (report.unreachable_rules > 0) {
+    Program pruned;
+    for (const Rule& rule : program.rules) {
+      if (cone.predicates.count(rule.head.predicate) > 0) {
+        pruned.rules.push_back(rule);
+      }
+    }
+    result.program = std::move(pruned);
+  }
   return result;
 }
 
-}  // namespace vada::datalog::dataflow
+}  // namespace vada::datalog

@@ -7,13 +7,6 @@
 
 namespace vada::datalog {
 
-void LoadKnowledgeBase(const KnowledgeBase& kb, Database* db) {
-  for (const std::string& name : kb.RelationNames()) {
-    const Relation* rel = kb.FindRelation(name);
-    if (rel != nullptr) db->LoadRelation(*rel);
-  }
-}
-
 std::vector<std::string> ReferencedRelations(const Program& program) {
   std::set<std::string> derived;
   for (const Rule& rule : program.rules) {

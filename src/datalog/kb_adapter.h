@@ -12,12 +12,6 @@
 
 namespace vada::datalog {
 
-/// Loads every relation of `kb` into `db` (predicate name = relation
-/// name). The knowledge base stays the source of truth; the database is
-/// a per-evaluation scratch copy, which keeps the reasoner free of
-/// mutation hazards against concurrently updated relations.
-void LoadKnowledgeBase(const KnowledgeBase& kb, Database* db);
-
 /// The base relations `program` reads: body-atom predicates (positive or
 /// negated) that no rule of the program derives, sorted and deduplicated.
 /// An evaluation of `program` is a pure function of these relations, so

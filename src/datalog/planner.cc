@@ -66,23 +66,9 @@ size_t BoundTermCount(const Literal& l, const std::set<std::string>& bound) {
 /// selectivity), floored at 1 unless the relation is empty. A fully
 /// bound atom degenerates to a containment check and costs 0, which is
 /// what puts all-constant atoms (and empty relations) first.
-/// A relation with no facts yet falls back to the static cardinality
-/// prior from the dataflow analysis when one exists (IDB predicates at
-/// stratum-compile time always count 0); `*prior_used` reports the
-/// prior consulted, 0 when runtime stats decided.
 size_t EstimatedCost(const Literal& l, const Database& db,
-                     const PlannerOptions& options,
-                     const std::set<std::string>& bound,
-                     size_t* prior_used) {
-  *prior_used = 0;
+                     const std::set<std::string>& bound) {
   size_t card = db.FactCount(l.atom.predicate);
-  if (card == 0 && options.priors != nullptr) {
-    auto it = options.priors->find(l.atom.predicate);
-    if (it != options.priors->end()) {
-      card = it->second;
-      *prior_used = card;
-    }
-  }
   if (card == 0) return 0;
   size_t n = BoundTermCount(l, bound);
   if (n >= l.atom.terms.size() && !l.atom.terms.empty()) return 0;
@@ -94,7 +80,6 @@ size_t EstimatedCost(const Literal& l, const Database& db,
 }  // namespace
 
 std::vector<size_t> PlanBodyOrder(const Rule& rule, const Database* db,
-                                  const PlannerOptions& options,
                                   std::vector<LiteralPlan>* plan) {
   std::vector<size_t> pending;
   pending.reserve(rule.body.size());
@@ -107,8 +92,7 @@ std::vector<size_t> PlanBodyOrder(const Rule& rule, const Database* db,
   std::set<std::string> bound;
   std::vector<size_t> ordered;
   ordered.reserve(rule.body.size());
-  auto place = [&](size_t pending_pos, size_t estimated_cost,
-                   size_t static_prior) {
+  auto place = [&](size_t pending_pos, size_t estimated_cost) {
     size_t body_index = pending[pending_pos];
     ordered.push_back(body_index);
     if (plan != nullptr) {
@@ -117,8 +101,7 @@ std::vector<size_t> PlanBodyOrder(const Rule& rule, const Database* db,
           l.kind == Literal::Kind::kAtom || l.kind == Literal::Kind::kNegatedAtom
               ? BoundTermCount(l, bound)
               : 0;
-      plan->push_back(
-          LiteralPlan{body_index, estimated_cost, bound_terms, static_prior});
+      plan->push_back(LiteralPlan{body_index, estimated_cost, bound_terms});
     }
     BindVars(rule.body[body_index], &bound);
     pending.erase(pending.begin() + pending_pos);
@@ -129,7 +112,7 @@ std::vector<size_t> PlanBodyOrder(const Rule& rule, const Database* db,
     bool placed = false;
     for (size_t i = 0; i < pending.size(); ++i) {
       if (IsReadyNonAtom(rule.body[pending[i]], bound)) {
-        place(i, 0, 0);
+        place(i, 0);
         placed = true;
         break;
       }
@@ -140,32 +123,27 @@ std::vector<size_t> PlanBodyOrder(const Rule& rule, const Database* db,
     // every atom costs 0 and the tie-breaks alone decide.
     int best = -1;
     size_t best_cost = 0;
-    size_t best_prior = 0;
     size_t best_bound = 0;
     for (size_t i = 0; i < pending.size(); ++i) {
       const Literal& l = rule.body[pending[i]];
       if (l.kind != Literal::Kind::kAtom) continue;
-      size_t prior_used = 0;
-      size_t cost = db == nullptr
-                        ? 0
-                        : EstimatedCost(l, *db, options, bound, &prior_used);
+      size_t cost = db == nullptr ? 0 : EstimatedCost(l, *db, bound);
       size_t bound_terms = BoundTermCount(l, bound);
       if (best < 0 || cost < best_cost ||
           (cost == best_cost && bound_terms > best_bound)) {
         best = static_cast<int>(i);
         best_cost = cost;
         best_bound = bound_terms;
-        best_prior = prior_used;
       }
     }
     if (best >= 0) {
-      place(static_cast<size_t>(best), best_cost, best_prior);
+      place(static_cast<size_t>(best), best_cost);
       continue;
     }
     // 3. Only non-ready builtins/negations left. Program validation
     // guarantees this cannot happen for safe rules; emit in order as a
     // defensive fallback.
-    place(0, 0, 0);
+    place(0, 0);
   }
   return ordered;
 }

@@ -2,8 +2,6 @@
 #define VADA_DATALOG_PLANNER_H_
 
 #include <cstddef>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,19 +25,6 @@ struct PlannerOptions {
   /// bound prefix of each body atom instead of scanning candidates.
   /// false: atoms are resolved by full scans (the oracle path).
   bool indexes = true;
-  /// Run the dataflow ProgramOptimizer (constant folding, dead/
-  /// unreachable-rule elimination, magic-set specialization toward the
-  /// query goal) before evaluation, and seed `priors` from the static
-  /// cardinality analysis. Goal-visible output is preserved bit-for-bit;
-  /// facts of predicates the goal does not need may no longer be
-  /// derived, which is why this is opt-in.
-  bool optimize = false;
-  /// Static cardinality upper bounds (predicate -> max distinct facts)
-  /// from the dataflow analysis. Consulted by EstimatedCost only for
-  /// predicates with no facts yet — typically IDB predicates at
-  /// stratum-compile time, where the runtime count is always 0 and the
-  /// planner would otherwise treat every recursive atom as free.
-  std::shared_ptr<const std::map<std::string, size_t>> priors = nullptr;
 };
 
 /// Per-literal record of one planning decision, in execution order.
@@ -52,11 +37,6 @@ struct LiteralPlan {
   /// cost 0.
   size_t estimated_cost = 0;
   size_t bound_terms = 0;     ///< ground terms at placement time
-  /// The static cardinality prior that stood in for the (zero) runtime
-  /// fact count when estimating this literal, 0 when runtime stats were
-  /// used. Lets EXPLAIN show where a plan rests on inference rather
-  /// than observation.
-  size_t static_prior = 0;
 };
 
 /// Returns the execution order of `rule`'s body as indexes into
@@ -72,7 +52,6 @@ struct LiteralPlan {
 /// Exposed for the planner unit tests; the evaluator calls it per rule
 /// at stratum-compile time with the stratum-start database.
 std::vector<size_t> PlanBodyOrder(const Rule& rule, const Database* db,
-                                  const PlannerOptions& options,
                                   std::vector<LiteralPlan>* plan = nullptr);
 
 }  // namespace vada::datalog

@@ -93,9 +93,6 @@ struct CompiledLiteral {
   /// The planner's candidate estimate when it placed this literal
   /// (atoms planned against a database; 0 otherwise).
   size_t estimated_cost = 0;
-  /// Static cardinality prior that backed the estimate when the
-  /// relation had no facts at compile time (0: runtime stats decided).
-  size_t static_prior = 0;
 };
 
 struct AggSpec {
@@ -118,9 +115,8 @@ class RuleCompiler {
  public:
   /// `db` supplies the planner's cardinality estimates (may be null:
   /// every atom then costs 0, so the most-bound atom goes first).
-  RuleCompiler(const std::set<std::string>& stratum_preds, const Database* db,
-               const PlannerOptions& planner)
-      : stratum_preds_(stratum_preds), db_(db), planner_(planner) {}
+  RuleCompiler(const std::set<std::string>& stratum_preds, const Database* db)
+      : stratum_preds_(stratum_preds), db_(db) {}
 
   CompiledRule Compile(const Rule& rule) {
     CompiledRule out;
@@ -131,7 +127,7 @@ class RuleCompiler {
     // early as their variables allow and orders positive atoms by
     // estimated selectivity.
     std::vector<LiteralPlan> plan;
-    std::vector<size_t> order = PlanBodyOrder(rule, db_, planner_, &plan);
+    std::vector<size_t> order = PlanBodyOrder(rule, db_, &plan);
 
     // Compile in execution order, tracking which slots are bound when
     // each literal starts — that static set is exactly the runtime
@@ -144,7 +140,6 @@ class RuleCompiler {
       CompiledLiteral cl = CompileLiteral(l);
       cl.body_index = body_index;
       cl.estimated_cost = plan[oi].estimated_cost;
-      cl.static_prior = plan[oi].static_prior;
       if (cl.kind == Literal::Kind::kAtom) {
         std::map<int, uint32_t> first_pos;  // slot -> binding column
         for (size_t i = 0; i < cl.atom.terms.size(); ++i) {
@@ -261,7 +256,6 @@ class RuleCompiler {
 
   const std::set<std::string>& stratum_preds_;
   const Database* db_;
-  PlannerOptions planner_;
   std::map<std::string, int> slots_;
 };
 

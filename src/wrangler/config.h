@@ -83,12 +83,7 @@ struct WranglerConfig {
   /// composite hash-index probing (DESIGN.md §5f); literal order is
   /// always cost-based. Defaults on; `{.indexes = false}` is the
   /// full-scan reference oracle. The derived facts are identical at
-  /// either setting of `indexes`. `optimize` additionally runs the
-  /// goal-directed dataflow rewrites (DESIGN.md §5h) on the session's
-  /// orchestration queries — goal-visible results
-  /// are unchanged, but facts of predicates a query does not need may
-  /// no longer be derived into its scratch database. See README
-  /// "Performance & tuning".
+  /// either setting of `indexes`. See README "Performance & tuning".
   datalog::PlannerOptions planner;
   /// Knowledge-base durability: write-ahead logging of every KB
   /// mutation, atomic checkpoints and crash recovery at session open

@@ -60,7 +60,9 @@ TEST(KbAdapterTest, QueryMatchesFullLoadSemantics) {
   Program p = MustParse("out(X) :- huge(X), X < 5, not negated(X).");
 
   Database full;
-  LoadKnowledgeBase(kb, &full);
+  for (const std::string& name : kb.RelationNames()) {
+    full.LoadRelation(*kb.FindRelation(name));
+  }
   Result<std::vector<Tuple>> via_full = Query(p, &full, "out");
   ASSERT_TRUE(via_full.ok());
 

@@ -1,8 +1,10 @@
 // Tests for the dataflow analysis layer (datalog/analysis/dataflow):
 // the abstract lattices, type/constant/cardinality inference to
-// fixpoint, the four lint verdicts, the ProgramOptimizer rewrites, and
-// the property that optimizer output always re-validates and
-// re-stratifies across 500 random programs.
+// fixpoint, the four lint verdicts; and for Query's goal-directed
+// rewrite (datalog/goal_rewrite.h): cone pruning, magic sets only on
+// closed demand, and the property that rewritten programs always
+// re-validate and re-stratify across 500 random programs.
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
@@ -15,9 +17,9 @@
 #include "datalog/analysis/analyzer.h"
 #include "datalog/analysis/dataflow/dataflow.h"
 #include "datalog/analysis/dataflow/lattice.h"
-#include "datalog/analysis/dataflow/optimizer.h"
 #include "datalog/database.h"
 #include "datalog/evaluator.h"
+#include "datalog/goal_rewrite.h"
 #include "datalog/parser.h"
 #include "datalog/stratify.h"
 #include "datalog_random_program.h"
@@ -190,19 +192,6 @@ TEST(DataflowTest, UnknownPredicatesAreTopOpenWorldEmptyClosedWorld) {
   EXPECT_TRUE(df_closed.RuleProvablyEmpty(0));
 }
 
-TEST(DataflowTest, CardinalityPriorsSkipUnboundedAndEmpty) {
-  Database db;
-  db.Insert("e", Tuple({Value::Int(1)}));
-  Program program = Parse(
-      "p(X) :- e(X).\n"
-      "q(X) :- mystery(X).");
-  DataflowResult df = AnalyzeDataflow(program, SeedsOf(db));
-  std::map<std::string, size_t> priors = df.CardinalityPriors();
-  EXPECT_EQ(priors.count("p"), 1u);
-  EXPECT_EQ(priors.at("p"), 1u);
-  EXPECT_EQ(priors.count("q"), 0u);  // unbounded (open-world mystery)
-}
-
 // ---------------------------------------------------------------------
 // Findings (the vada_lint verdicts).
 // ---------------------------------------------------------------------
@@ -323,77 +312,39 @@ TEST(DataflowFindingsTest, EmptinessProofsAreSoundOnRandomPrograms) {
 }
 
 // ---------------------------------------------------------------------
-// Optimizer units.
+// Query's goal-directed rewrite.
 // ---------------------------------------------------------------------
 
-TEST(OptimizerTest, FoldsConstantAssignmentsAndGuards) {
-  Database db;
-  db.Insert("e", Tuple({Value::Int(1), Value::Int(2)}));
-  Program program = Parse("p(X, Z) :- e(X, Y), Z = 2 + 3, 1 < 2.");
-  OptimizeResult r = OptimizeProgram(program, "p", SeedsOf(db));
-  EXPECT_EQ(r.report.folded_assignments, 1u);
-  EXPECT_EQ(r.report.folded_comparisons, 1u);
-  // The rule now heads a constant: p(X, 5) :- e(X, Y).
-  bool found = false;
-  for (const Rule& rule : r.program.rules) {
-    if (rule.head.predicate != "p") continue;
-    found = true;
-    ASSERT_EQ(rule.head.terms.size(), 2u);
-    ASSERT_TRUE(rule.head.terms[1].is_constant());
-    EXPECT_EQ(rule.head.terms[1].value(), Value::Int(5));
-    for (const Literal& lit : rule.body) {
-      EXPECT_NE(lit.kind, Literal::Kind::kAssignment);
-      EXPECT_NE(lit.kind, Literal::Kind::kComparison);
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
 TEST(OptimizerTest, AtomBoundAssignmentsAreNotFolded) {
-  // Z also appears in a positive atom, so the fold conservatively
-  // leaves the assignment in place. (The engine hoists the ready
-  // constant assignment before the atom, binding Z = Int(2); the atom
-  // then matches exactly, so only the Int(2) fact survives — and the
-  // optimized program must agree with the oracle on that either way.)
+  // Z is bound by the atom and checked by the assignment, which coerces:
+  // the engine hoists the ready constant assignment before the atom,
+  // binding Z = Int(2), and the atom then matches exactly, so only the
+  // Int(2) fact survives. Query must agree with the oracle on that.
   Database db;
   db.Insert("e", Tuple({Value::Double(2.0)}));
   db.Insert("e", Tuple({Value::Int(2)}));
-  Program program = Parse("p(Z) :- e(Z), Z = 2.");
-  OptimizeResult r = OptimizeProgram(program, "p", SeedsOf(db),
-                                     OptimizerOptions{.magic_sets = false});
-  EXPECT_EQ(r.report.folded_assignments, 0u);
-
-  Database oracle_db = db;
-  Result<std::vector<Tuple>> expected =
-      Query(program, &oracle_db, "p", EvalOptions{});
-  Database run = db;
-  Result<std::vector<Tuple>> actual =
-      Query(r.program, &run, "p", EvalOptions{});
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(actual.ok());
-  EXPECT_EQ(actual.value(), expected.value());
-  ASSERT_EQ(expected.value().size(), 1u);
-  EXPECT_EQ(expected.value()[0].at(0), Value::Int(2));
+  Program program = Parse("p(Z) :- e(Z), Z = 2.\nother(Z) :- e(Z).");
+  std::vector<Tuple> answer = ExpectQueryMatchesOracle(program, db, "p");
+  ASSERT_EQ(answer.size(), 1u);
+  EXPECT_EQ(answer[0].at(0), Value::Int(2));
 }
 
-TEST(OptimizerTest, EliminatesDeadAndUnreachableRules) {
+TEST(OptimizerTest, EliminatesUnreachableRules) {
   Database db;
   db.Insert("e", Tuple({Value::Int(1), Value::Int(2)}));
   Program program = Parse(
       "p(X, Y) :- e(X, Y).\n"
-      "p(X, Y) :- nothing(X, Y).\n"       // dead: nothing is empty
-      "other(X) :- e(X, Y).\n");          // unreachable from goal p
-  OptimizeResult r = OptimizeProgram(program, "p", SeedsOf(db));
-  EXPECT_EQ(r.report.dead_rules, 1u);
+      "p(X, Y) :- nothing(X, Y).\n"      // kept: dead, but in the cone
+      "other(X) :- e(X, Y).\n");         // unreachable from goal p
+  GoalRewrite r = RewriteForGoal(program, "p", db);
   EXPECT_EQ(r.report.unreachable_rules, 1u);
-  for (const Rule& rule : r.program.rules) {
-    EXPECT_NE(rule.head.predicate, "other");
-    for (const Literal& lit : rule.body) {
-      if (lit.kind == Literal::Kind::kAtom) {
-        EXPECT_NE(lit.atom.predicate, "nothing");
-      }
-    }
+  EXPECT_FALSE(r.report.magic_applied);
+  ASSERT_TRUE(r.program.has_value());
+  ASSERT_EQ(r.program->rules.size(), 2u);
+  for (const Rule& rule : r.program->rules) {
+    EXPECT_EQ(rule.head.predicate, "p");
   }
+  ExpectQueryMatchesOracle(program, db, "p");
 }
 
 TEST(OptimizerTest, MagicSetsSpecializeBoundRecursion) {
@@ -405,25 +356,18 @@ TEST(OptimizerTest, MagicSetsSpecializeBoundRecursion) {
       "tc(X, Y) :- edge(X, Y).\n"
       "tc(X, Y) :- tc(X, Z), edge(Z, Y).\n"
       "q(Y) :- tc(1, Y).");
-  OptimizeResult r = OptimizeProgram(program, "q", SeedsOf(db));
+  GoalRewrite r = RewriteForGoal(program, "q", db);
   EXPECT_TRUE(r.report.magic_applied) << r.report.magic_fallback;
   EXPECT_GT(r.report.magic_rules, 0u);
   EXPECT_GT(r.report.specialized_rules, 0u);
 
   // The rewritten program is valid, stratifiable, and derives exactly
   // the oracle's goal facts.
-  EXPECT_TRUE(r.program.Validate().ok());
-  EXPECT_TRUE(Stratify(r.program).ok());
-  Database oracle_db = db;
-  Result<std::vector<Tuple>> expected =
-      Query(program, &oracle_db, "q", EvalOptions{});
-  Database opt_db = db;
-  Result<std::vector<Tuple>> actual =
-      Query(r.program, &opt_db, "q", EvalOptions{});
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(actual.ok());
-  EXPECT_EQ(actual.value(), expected.value());
-  EXPECT_EQ(expected.value().size(), 49u);  // 2..50 reachable from 1
+  ASSERT_TRUE(r.program.has_value());
+  EXPECT_TRUE(r.program->Validate().ok());
+  EXPECT_TRUE(Stratify(*r.program).ok());
+  std::vector<Tuple> answer = ExpectQueryMatchesOracle(program, db, "q");
+  EXPECT_EQ(answer.size(), 49u);  // 2..50 reachable from 1
 
   // And it does measurably less join work: full tc is O(n^2) pairs,
   // the demanded slice is the single chain from 1.
@@ -433,7 +377,7 @@ TEST(OptimizerTest, MagicSetsSpecializeBoundRecursion) {
   ASSERT_TRUE(full.Prepare().ok());
   ASSERT_TRUE(full.Run(&full_db, &full_stats).ok());
   Database magic_db = db;
-  Evaluator magic(r.program, EvalOptions{});
+  Evaluator magic(*r.program, EvalOptions{});
   ASSERT_TRUE(magic.Prepare().ok());
   ASSERT_TRUE(magic.Run(&magic_db, &magic_stats).ok());
   EXPECT_LT(magic_stats.facts_derived, full_stats.facts_derived);
@@ -449,19 +393,9 @@ TEST(OptimizerTest, MagicSetsBridgeMixedEdbIdbPredicates) {
       "tc(X, Y) :- edge(X, Y).\n"
       "tc(X, Y) :- tc(X, Z), edge(Z, Y).\n"
       "q(Y) :- tc(1, Y).");
-  Database oracle_db = db;
-  Result<std::vector<Tuple>> expected =
-      Query(program, &oracle_db, "q", EvalOptions{});
-  ASSERT_TRUE(expected.ok());
-  EXPECT_EQ(expected.value().size(), 2u);  // 2 (edge) and 9 (stored)
-
-  EvalOptions optimized;
-  optimized.planner.optimize = true;
-  Database opt_db = db;
-  Result<std::vector<Tuple>> actual =
-      Query(program, &opt_db, "q", optimized);
-  ASSERT_TRUE(actual.ok());
-  EXPECT_EQ(actual.value(), expected.value());
+  EXPECT_TRUE(RewriteForGoal(program, "q", db).report.magic_applied);
+  std::vector<Tuple> answer = ExpectQueryMatchesOracle(program, db, "q");
+  EXPECT_EQ(answer.size(), 2u);  // 2 (edge) and 9 (stored)
 }
 
 TEST(OptimizerTest, NegatedCalleesKeepFullExtension) {
@@ -473,64 +407,119 @@ TEST(OptimizerTest, NegatedCalleesKeepFullExtension) {
       "reach(X) :- src(X).\n"
       "reach(Y) :- reach(X), edge(X, Y).\n"
       "unreach(X) :- node(X), not reach(X).");
-  Database oracle_db = db;
-  Result<std::vector<Tuple>> expected =
-      Query(program, &oracle_db, "unreach", EvalOptions{});
-  EvalOptions optimized;
-  optimized.planner.optimize = true;
-  Database opt_db = db;
-  Result<std::vector<Tuple>> actual =
-      Query(program, &opt_db, "unreach", optimized);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(actual.ok());
-  EXPECT_EQ(actual.value(), expected.value());
-  EXPECT_EQ(actual.value().size(), 3u);  // nodes 2, 3, 4
+  std::vector<Tuple> answer =
+      ExpectQueryMatchesOracle(program, db, "unreach");
+  EXPECT_EQ(answer.size(), 3u);  // nodes 2, 3, 4
 }
 
 TEST(OptimizerTest, ReportSummaryMentionsEachRewrite) {
   Database db;
-  db.Insert("e", Tuple({Value::Int(1), Value::Int(2)}));
+  db.Insert("edge", Tuple({Value::Int(1), Value::Int(2)}));
   Program program = Parse(
-      "p(X, Z) :- e(X, Y), Z = 1 + 1.\n"
-      "dead(X, Y) :- nothing(X, Y).\n");
-  OptimizeResult r = OptimizeProgram(program, "p", SeedsOf(db));
-  std::string summary = r.report.Summary();
-  EXPECT_NE(summary.find("assignment"), std::string::npos);
-  EXPECT_NE(summary.find("dead"), std::string::npos);
+      "tc(X, Y) :- edge(X, Y).\n"
+      "tc(X, Y) :- tc(X, Z), edge(Z, Y).\n"
+      "q(Y) :- tc(1, Y).\n"
+      "other(X) :- edge(X, Y).\n");
+  std::string summary = RewriteForGoal(program, "q", db).report.Summary();
+  EXPECT_NE(summary.find("1 unreachable rule(s)"), std::string::npos)
+      << summary;
+  EXPECT_NE(summary.find("magic: "), std::string::npos) << summary;
+
+  Program right = Parse(
+      "tc(X, Y) :- edge(X, Y).\n"
+      "tc(X, Y) :- edge(X, Z), tc(Z, Y).\n"
+      "q(Y) :- tc(1, Y).");
+  EXPECT_EQ(RewriteForGoal(right, "q", db).report.Summary(),
+            "magic declined: open demand");
+  EXPECT_EQ(RewriteReport{}.Summary(), "no rewrites applied");
+}
+
+// The selection rule: magic sets only on closed demand.
+
+TEST(OptimizerTest, LeftRecursiveBoundGoalAppliesMagic) {
+  // Inline facts make `edge` a fact-only predicate, read like a stored
+  // relation; the only recursive demand rule is the identity copy.
+  Program program = Parse(
+      "edge(1, 2). edge(2, 3). edge(3, 4). edge(5, 6).\n"
+      "tc(X, Y) :- edge(X, Y).\n"
+      "tc(X, Y) :- tc(X, Z), edge(Z, Y).\n"
+      "q(Y) :- tc(1, Y).");
+  Database db;
+  GoalRewrite r = RewriteForGoal(program, "q", db);
+  EXPECT_TRUE(r.report.magic_applied) << r.report.magic_fallback;
+  ASSERT_TRUE(r.program.has_value());
+  bool identity = false;
+  for (const Rule& rule : r.program->rules) {
+    if (rule.head.predicate.rfind("m__", 0) != 0) continue;
+    // Every demand rule is a seed fact or the identity copy.
+    if (rule.IsFact()) continue;
+    ASSERT_EQ(rule.body.size(), 1u) << rule.ToString();
+    EXPECT_EQ(rule.body[0].atom.predicate, rule.head.predicate);
+    identity = true;
+  }
+  EXPECT_TRUE(identity);
+  std::vector<Tuple> answer = ExpectQueryMatchesOracle(program, db, "q");
+  EXPECT_EQ(answer.size(), 3u);  // 2, 3, 4
+}
+
+TEST(OptimizerTest, OpenDemandDeclinesMagic) {
+  Database db;
+  for (int i = 0; i < 20; ++i) {
+    db.Insert("edge", Tuple({Value::Int(i), Value::Int(i + 1)}));
+  }
+  const char* programs[] = {
+      // Right-recursive tc: demand m(Z) :- m(X), edge(X, Z) walks the
+      // whole suffix of the chain.
+      "tc(X, Y) :- edge(X, Y).\n"
+      "tc(X, Y) :- edge(X, Z), tc(Z, Y).\n"
+      "q(Y) :- tc(1, Y).",
+      // Same generation: demand climbs through edge(A, X).
+      "sg(X, X) :- edge(X, Y).\n"
+      "sg(X, Y) :- edge(A, X), sg(A, B), edge(B, Y).\n"
+      "q(Y) :- sg(4, Y).",
+  };
+  for (const char* src : programs) {
+    SCOPED_TRACE(src);
+    Program program = Parse(src);
+    GoalRewrite r = RewriteForGoal(program, "q", db);
+    EXPECT_FALSE(r.report.magic_applied);
+    EXPECT_EQ(r.report.magic_fallback, "open demand");
+    EXPECT_EQ(r.report.magic_rules, 0u);
+    // Nothing pruned and magic declined: the input runs as is.
+    EXPECT_FALSE(r.program.has_value());
+    ExpectQueryMatchesOracle(program, db, "q");
+  }
+}
+
+TEST(OptimizerTest, DependencyShapedProgramIsReturnedUnrewritten) {
+  Database db;
+  db.Insert("sys_relation_nonempty", Tuple({Value::String("mapping")}));
+  Program program = Parse(
+      "ready() :- sys_relation_nonempty(\"cfd\"), "
+      "sys_relation_nonempty(\"mapping\").\n"
+      "ready() :- sys_relation_nonempty(\"mapping\").");
+  GoalRewrite r = RewriteForGoal(program, "ready", db);
+  EXPECT_FALSE(r.program.has_value());
+  EXPECT_EQ(r.report.Summary(), "no rewrites applied");
+  std::vector<Tuple> answer = ExpectQueryMatchesOracle(program, db, "ready");
+  EXPECT_EQ(answer.size(), 1u);
+}
+
+TEST(OptimizerTest, UnsafeRuleOutsideTheConeStillFailsQuery) {
+  Database db;
+  db.Insert("e", Tuple({Value::Int(1)}));
+  // The parser rejects unsafe rules, so make one by editing the AST:
+  // dropping e(Y) leaves head variable Y unbound.
+  Program program = Parse("p(X) :- e(X).\nbad(X, Y) :- e(X), e(Y).");
+  program.rules[1].body.pop_back();
+  GoalRewrite r = RewriteForGoal(program, "p", db);
+  EXPECT_FALSE(r.program.has_value());
+  EXPECT_FALSE(Query(program, &db, "p").ok());
 }
 
 // ---------------------------------------------------------------------
-// Planner priors.
-// ---------------------------------------------------------------------
-
-TEST(PlannerPriorTest, PriorsOrderEmptyRelations) {
-  // Both IDB relations are empty at plan time; with priors the planner
-  // must place the small one first and record the prior it used.
-  Program program = Parse("j(X, Z) :- big(X, Y), small(Y, Z).");
-  Database db;  // both empty
-  auto priors = std::make_shared<const std::map<std::string, size_t>>(
-      std::map<std::string, size_t>{{"big", 10000}, {"small", 4}});
-  PlannerOptions options;
-  options.priors = priors;
-  std::vector<LiteralPlan> plan;
-  std::vector<size_t> order =
-      PlanBodyOrder(program.rules[0], &db, options, &plan);
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 1u);  // small first
-  EXPECT_EQ(plan[0].static_prior, 4u);
-  EXPECT_GT(plan[0].estimated_cost, 0u);
-
-  // Without priors both cost 0 and declared order wins.
-  PlannerOptions no_priors;
-  std::vector<size_t> legacy =
-      PlanBodyOrder(program.rules[0], &db, no_priors, nullptr);
-  EXPECT_EQ(legacy[0], 0u);
-}
-
-// ---------------------------------------------------------------------
-// Property test (satellite): optimizer output always re-validates and
-// re-stratifies, under both open- and closed-world assumptions, across
-// 500 random programs x all goals.
+// Property test: rewritten programs always re-validate and
+// re-stratify, across 500 random programs x all goals.
 // ---------------------------------------------------------------------
 
 class OptimizerValidityProperty : public ::testing::TestWithParam<int> {};
@@ -548,16 +537,16 @@ TEST_P(OptimizerValidityProperty, OutputRevalidatesAcrossRandomPrograms) {
     Database edb = RandomEdb(&rng);
     Result<Program> program = Parser::Parse(RandomProgram(&rng));
     ASSERT_TRUE(program.ok());
-    EdbSeeds seeds = SeedsFromDatabase(edb);
 
     for (const std::string& goal : RandomProgramGoals()) {
       SCOPED_TRACE("goal=" + goal);
-      OptimizeResult r = OptimizeProgram(program.value(), goal, seeds);
+      GoalRewrite r = RewriteForGoal(program.value(), goal, edb);
+      if (!r.program.has_value()) continue;
       // Never emits an unsafe or unstratifiable program.
-      EXPECT_TRUE(r.program.Validate().ok());
-      EXPECT_TRUE(Stratify(r.program).ok());
+      EXPECT_TRUE(r.program->Validate().ok());
+      EXPECT_TRUE(Stratify(*r.program).ok());
       // The full analyzer agrees: no safety/stratification errors.
-      analysis::AnalysisReport report = analyzer.Analyze(r.program);
+      analysis::AnalysisReport report = analyzer.Analyze(*r.program);
       for (const auto& d : report.diagnostics) {
         if (d.severity != analysis::Severity::kError) continue;
         EXPECT_TRUE(d.check_id.rfind("safety/", 0) != 0 &&

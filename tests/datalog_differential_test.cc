@@ -5,7 +5,8 @@
 // full-scan path ({indexes = false}); the indexed default must reproduce
 // the oracle's facts row for row (index buckets keep insertion order),
 // and a body-literal-permuted copy of the program — which the planner
-// orders differently — must derive the same fact sets.
+// orders differently — must derive the same fact sets. Query's
+// goal-directed rewrite is checked against the same oracle.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "common/rng.h"
 #include "datalog/database.h"
 #include "datalog/evaluator.h"
+#include "datalog/goal_rewrite.h"
 #include "datalog/parser.h"
 #include "datalog_random_program.h"
 
@@ -78,12 +80,11 @@ TEST_P(JoinPlannerDifferential, AllPlannerConfigsAgreeOnRandomPrograms) {
   }
 }
 
-/// Optimizer differential: with PlannerOptions::optimize on, Query()
-/// rewrites the program (constant folding, dead/unreachable-rule
-/// elimination, magic sets toward the goal) — but the goal-visible
-/// output must stay bit-identical to the unoptimized oracle, for every
-/// derived predicate of every random program. 25 shards x 20 seeds =
-/// 500 programs x 9 goals.
+/// Query differential: Query evaluates only the goal's cone, with magic
+/// sets on closed demand, yet its answer must stay bit-identical to the
+/// full-scan oracle ({indexes = false}) evaluating the unrewritten
+/// program, for every derived predicate of every random program.
+/// 25 shards x 20 seeds = 500 programs x 9 goals.
 class OptimizerDifferential : public ::testing::TestWithParam<int> {};
 
 INSTANTIATE_TEST_SUITE_P(Shards, OptimizerDifferential,
@@ -99,19 +100,67 @@ TEST_P(OptimizerDifferential, GoalVisibleOutputIsBitIdentical) {
     ASSERT_TRUE(program.ok()) << program.status().message();
 
     for (const std::string& goal : RandomProgramGoals()) {
-      SCOPED_TRACE("goal=" + goal);
-      Database oracle_db = edb;
-      Result<std::vector<Tuple>> expected =
-          Query(program.value(), &oracle_db, goal, EvalOptions());
-      ASSERT_TRUE(expected.ok()) << expected.status().message();
+      ExpectQueryMatchesOracle(program.value(), edb, goal);
+    }
+  }
+}
 
-      EvalOptions optimized;
-      optimized.planner.optimize = true;
-      Database opt_db = edb;
-      Result<std::vector<Tuple>> actual =
-          Query(program.value(), &opt_db, goal, optimized);
-      ASSERT_TRUE(actual.ok()) << actual.status().message();
-      EXPECT_EQ(actual.value(), expected.value());
+/// Closed demand never arises in the random corpus, so this shard pins
+/// the shapes where Query does apply magic sets: left-recursive
+/// transitive closure bound at every node, over the random edges and
+/// over a grid, with stored facts in the recursive predicate for the
+/// EDB bridge. Each case must apply magic and match the oracle.
+/// 5 shards x 20 seeds.
+class ClosedDemandDifferential : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Shards, ClosedDemandDifferential,
+                         ::testing::Range(0, 5));
+
+TEST_P(ClosedDemandDifferential, MagicAppliesAndMatchesTheOracle) {
+  for (int s = 0; s < kSeedsPerShard; ++s) {
+    int seed = GetParam() * kSeedsPerShard + s;
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    Database random_edb = RandomEdb(&rng);
+    // Grid variant: right and down edges over a side x side grid.
+    const int side = static_cast<int>(rng.UniformInt(2, 6));
+    Database grid_edb;
+    for (int r = 0; r < side; ++r) {
+      for (int c = 0; c < side; ++c) {
+        const int64_t id = r * side + c;
+        if (c + 1 < side) {
+          grid_edb.Insert("e0", Tuple({Value::Int(id), Value::Int(id + 1)}));
+        }
+        if (r + 1 < side) {
+          grid_edb.Insert("e1",
+                          Tuple({Value::Int(id), Value::Int(id + side)}));
+        }
+      }
+    }
+    // Stored tc facts: the adorned copies must still see them.
+    if (rng.Bernoulli(0.5)) {
+      for (Database* db : {&random_edb, &grid_edb}) {
+        db->Insert("tc", Tuple({Value::Int(rng.UniformInt(0, 5)),
+                                Value::Int(rng.UniformInt(0, 30))}));
+      }
+    }
+
+    for (const Database* edb : {&random_edb, &grid_edb}) {
+      const int64_t max_node = edb == &grid_edb ? side * side : 12;
+      for (int64_t c = 0; c < max_node; ++c) {
+        SCOPED_TRACE("constant=" + std::to_string(c));
+        Result<Program> program = Parser::Parse(
+            "tc(X, Y) :- e0(X, Y).\n"
+            "tc(X, Y) :- tc(X, Z), e0(Z, Y).\n"
+            "tc(X, Y) :- tc(X, Z), e1(Z, Y).\n"
+            "q(Y) :- tc(" + std::to_string(c) + ", Y).\n"
+            "fan(X, count<Y>) :- tc(X, Y).\n");
+        ASSERT_TRUE(program.ok()) << program.status().message();
+        GoalRewrite rewrite = RewriteForGoal(program.value(), "q", *edb);
+        EXPECT_TRUE(rewrite.report.magic_applied)
+            << rewrite.report.Summary();
+        ExpectQueryMatchesOracle(program.value(), *edb, "q");
+      }
     }
   }
 }

@@ -1,9 +1,9 @@
 // Shared random-program generator for the datalog differential fuzz
-// harness and the dataflow/optimizer property tests: seeds map
+// harness and the dataflow/goal-rewrite property tests: seeds map
 // deterministically to (EDB, program) pairs exercising every feature
-// the planner and the optimizer touch — multi-way joins, constants in
-// atoms, comparisons, arithmetic assignments, stratified negation and
-// aggregates, over relations that may be empty.
+// the planner and Query's goal rewrite touch — multi-way joins,
+// constants in atoms, comparisons, arithmetic assignments, stratified
+// negation and aggregates, over relations that may be empty.
 #ifndef VADA_TESTS_DATALOG_RANDOM_PROGRAM_H_
 #define VADA_TESTS_DATALOG_RANDOM_PROGRAM_H_
 
@@ -43,6 +43,26 @@ inline EvalOutput Evaluate(const Program& program, const Database& edb,
     out.facts[pred] = db.facts(pred);
   }
   return out;
+}
+
+/// Query's answer for `goal` must equal the goal facts of the full-scan
+/// ({indexes = false}) evaluation of the unrewritten program, sorted
+/// the way Query sorts them. Returns Query's answer.
+inline std::vector<Tuple> ExpectQueryMatchesOracle(const Program& program,
+                                                   const Database& edb,
+                                                   const std::string& goal) {
+  SCOPED_TRACE("goal=" + goal);
+  EvalOptions oracle_options;
+  oracle_options.planner = PlannerOptions{.indexes = false};
+  EvalOutput oracle = Evaluate(program, edb, oracle_options);
+  std::vector<Tuple> expected = oracle.facts[goal];
+  std::sort(expected.begin(), expected.end());
+  Database db = edb;
+  Result<std::vector<Tuple>> actual = Query(program, &db, goal);
+  EXPECT_TRUE(actual.ok()) << actual.status().message();
+  if (!actual.ok()) return {};
+  EXPECT_EQ(actual.value(), expected);
+  return actual.value();
 }
 
 /// Random EDB over three binary edge relations (one possibly left empty
@@ -128,7 +148,7 @@ inline std::string RandomProgram(Rng* rng) {
   return p.str();
 }
 
-/// Every predicate RandomProgram derives — the goal set the optimizer
+/// Every predicate RandomProgram derives — the goal set the Query
 /// differential sweeps (each one exercises a different rewrite shape:
 /// plain/recursive IDB, negation, aggregates).
 inline std::vector<std::string> RandomProgramGoals() {

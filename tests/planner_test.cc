@@ -53,7 +53,7 @@ TEST(PlanBodyOrderTest, SmallerRelationGoesFirst) {
   for (int i = 0; i < 2; ++i) {
     db.Insert("small", Tuple({Value::Int(i), Value::Int(i)}));
   }
-  EXPECT_EQ(PlanBodyOrder(rule, &db, PlannerOptions()),
+  EXPECT_EQ(PlanBodyOrder(rule, &db),
             (std::vector<size_t>{1, 0}));
 }
 
@@ -61,14 +61,14 @@ TEST(PlanBodyOrderTest, AllConstantAtomCostsZeroAndGoesFirst) {
   Rule rule = ParseRule("h(X) :- e(X, Y), e(3, 4).");
   Database db = ChainDb("e", 50);
   // The fully bound atom is a containment check: cost 0, placed first.
-  EXPECT_EQ(PlanBodyOrder(rule, &db, PlannerOptions()),
+  EXPECT_EQ(PlanBodyOrder(rule, &db),
             (std::vector<size_t>{1, 0}));
 }
 
 TEST(PlanBodyOrderTest, EmptyRelationGoesFirst) {
   Rule rule = ParseRule("h(X, Z) :- e(X, Y), void(Y, Z).");
   Database db = ChainDb("e", 10);  // `void` has no facts at all
-  EXPECT_EQ(PlanBodyOrder(rule, &db, PlannerOptions()),
+  EXPECT_EQ(PlanBodyOrder(rule, &db),
             (std::vector<size_t>{1, 0}));
 }
 
@@ -77,7 +77,7 @@ TEST(PlanBodyOrderTest, SelfJoinTiesFallBackToDeclaredOrder) {
   Database db = ChainDb("e", 20);
   // Equal cardinality: declared order breaks the tie; the second
   // occurrence then joins on its bound Y.
-  EXPECT_EQ(PlanBodyOrder(rule, &db, PlannerOptions()),
+  EXPECT_EQ(PlanBodyOrder(rule, &db),
             (std::vector<size_t>{0, 1}));
 }
 
@@ -86,7 +86,7 @@ TEST(PlanBodyOrderTest, CrossProductPicksSmallerSideFirst) {
   Database db;
   for (int i = 0; i < 30; ++i) db.Insert("a", Tuple({Value::Int(i)}));
   for (int i = 0; i < 3; ++i) db.Insert("b", Tuple({Value::Int(i)}));
-  EXPECT_EQ(PlanBodyOrder(rule, &db, PlannerOptions()),
+  EXPECT_EQ(PlanBodyOrder(rule, &db),
             (std::vector<size_t>{1, 0}));
 }
 
@@ -98,16 +98,16 @@ TEST(PlanBodyOrderTest, FiltersHoistAsEarlyAsTheirVariablesAllow) {
   db.Insert("c", Tuple({Value::Int(3)}));
   // a(X) binds X; the comparison and negation run before the expensive
   // b(Y) ever enumerates, with or without cardinalities to consult.
-  EXPECT_EQ(PlanBodyOrder(rule, &db, PlannerOptions()),
+  EXPECT_EQ(PlanBodyOrder(rule, &db),
             (std::vector<size_t>{0, 2, 3, 1}));
-  EXPECT_EQ(PlanBodyOrder(rule, nullptr, PlannerOptions()),
+  EXPECT_EQ(PlanBodyOrder(rule, nullptr),
             (std::vector<size_t>{0, 2, 3, 1}));
 }
 
 TEST(PlanBodyOrderTest, NullDatabaseFallsBackToLegacyHeuristic) {
   Rule rule = ParseRule("h(X, Z) :- big(X, Y), small(Y, Z).");
   // No cardinalities to consult: declared order, as before this planner.
-  EXPECT_EQ(PlanBodyOrder(rule, nullptr, PlannerOptions()),
+  EXPECT_EQ(PlanBodyOrder(rule, nullptr),
             (std::vector<size_t>{0, 1}));
 }
 

@@ -8,22 +8,22 @@
 // evaluated and the plan is annotated with the measured per-literal
 // probes, candidates and wall time. EDB relations are loaded from CSV
 // files passed as --csv REL=FILE; facts written directly in the program
-// work too.
+// work too. With --goal=PRED the plan is that of the program Query runs
+// for PRED: the goal's cone, with magic sets on closed demand
+// (DESIGN.md §5h).
 
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "datalog/analysis/dataflow/optimizer.h"
 #include "datalog/database.h"
 #include "datalog/evaluator.h"
 #include "datalog/explain.h"
+#include "datalog/goal_rewrite.h"
 #include "datalog/parser.h"
 #include "kb/csv.h"
 
@@ -55,13 +55,9 @@ int Usage(const char* argv0) {
       << "                  actual per-literal work (EXPLAIN ANALYZE)\n"
       << "  --json          print the plan as JSON instead of a text tree\n"
       << "  --no-indexes    plan without composite hash indexes\n"
-      << "  --goal=PRED     the query goal; enables goal-directed rewrites\n"
-      << "                  with --optimize and static cardinality priors\n"
-      << "  --optimize      run the dataflow ProgramOptimizer (constant\n"
-      << "                  folding, dead/unreachable-rule elimination,\n"
-      << "                  magic sets toward --goal) and explain the\n"
-      << "                  rewritten program; inferred cardinality bounds\n"
-      << "                  show as prior=N next to the estimates\n"
+      << "  --goal=PRED     explain the program Query runs for goal PRED\n"
+      << "                  (rules the goal reaches; magic sets on closed\n"
+      << "                  demand) and print what was rewritten\n"
       << "  -h, --help      this message\n";
   return 2;
 }
@@ -87,8 +83,6 @@ int main(int argc, char** argv) {
       json = true;
     } else if (arg == "--no-indexes") {
       options.planner.indexes = false;
-    } else if (arg == "--optimize") {
-      options.planner.optimize = true;
     } else if (arg.rfind("--goal=", 0) == 0) {
       goal = arg.substr(std::strlen("--goal="));
     } else if (arg == "--csv") {
@@ -148,22 +142,11 @@ int main(int argc, char** argv) {
   }
 
   Program to_explain = std::move(program).value();
-  if (options.planner.optimize) {
-    namespace dataflow = vada::datalog::dataflow;
-    dataflow::EdbSeeds seeds = dataflow::SeedsFromDatabase(db);
-    dataflow::OptimizeResult optimized =
-        dataflow::OptimizeProgram(to_explain, goal, seeds);
-    if (!json) {
-      std::cout << "optimizer: " << optimized.report.Summary() << "\n";
-    }
-    to_explain = std::move(optimized.program);
-    dataflow::DataflowOptions dopt;
-    dopt.assume_unknown_nonempty = false;
-    dataflow::DataflowResult df =
-        dataflow::AnalyzeDataflow(to_explain, seeds, dopt);
-    options.planner.priors =
-        std::make_shared<const std::map<std::string, size_t>>(
-            df.CardinalityPriors());
+  if (!goal.empty()) {
+    vada::datalog::GoalRewrite rewrite =
+        vada::datalog::RewriteForGoal(to_explain, goal, db);
+    if (!json) std::cout << "rewrite: " << rewrite.report.Summary() << "\n";
+    if (rewrite.program.has_value()) to_explain = std::move(*rewrite.program);
   }
 
   Evaluator evaluator(std::move(to_explain), options);
