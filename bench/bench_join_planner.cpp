@@ -14,7 +14,14 @@
 // work by well over an order of magnitude; wall time follows at the
 // larger sizes. The scenario row (the bench_scale workload) must show
 // at least a 5x reduction.
+//
+// Every ms column is the median [p10, p90] of kReps runs after kWarmup
+// discarded ones, the two sides of a row interleaved run by run
+// (MeasureInterleaved); BENCH_join_planner.json records each under
+// <name>_ms with the spread next to it (<name>_ms_p10, _p90, _mad).
+// Join work and results are deterministic and come from the last run.
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -36,6 +43,9 @@ using datalog::Evaluator;
 using datalog::Parser;
 using datalog::PlannerOptions;
 using datalog::Program;
+
+constexpr size_t kReps = 11;
+constexpr size_t kWarmup = 1;
 
 Database ChainDb(int n) {
   Database db;
@@ -105,10 +115,10 @@ size_t SessionJoinWork(const obs::MetricsSnapshot& snapshot) {
 }  // namespace
 
 int main() {
-  std::printf("J1: join planner (composite indexes) vs full-scan oracle\n\n");
   BenchReport report("join_planner");
-  Table table({"workload", "results", "oracle ms", "planner ms",
-               "oracle work", "planner work", "work reduction"});
+  Table table({"workload", "results", "oracle ms [p10, p90]",
+               "planner ms [p10, p90]", "oracle work", "planner work",
+               "work reduction"});
 
   const PlannerOptions oracle{.indexes = false};
   const PlannerOptions planner;  // defaults: indexes on
@@ -140,22 +150,31 @@ int main() {
                    program.status().ToString().c_str());
       continue;
     }
-    Measured base = RunProgram(program.value(), w.db, oracle, w.goal);
-    Measured fast = RunProgram(program.value(), w.db, planner, w.goal);
+    Measured base, fast;
+    std::vector<Measurement> ms = MeasureInterleaved(
+        kReps, kWarmup,
+        {[&] {
+           base = RunProgram(program.value(), w.db, oracle, w.goal);
+           return base.ms;
+         },
+         [&] {
+           fast = RunProgram(program.value(), w.db, planner, w.goal);
+           return fast.ms;
+         }});
     double reduction =
         fast.work > 0 ? static_cast<double>(base.work) / fast.work : 0.0;
     if (base.results != fast.results) {
       std::fprintf(stderr, "%s: RESULT MISMATCH %zu vs %zu\n", w.name.c_str(),
                    base.results, fast.results);
     }
-    table.AddRow({w.name, std::to_string(fast.results), Fmt(base.ms, 1),
-                  Fmt(fast.ms, 1), std::to_string(base.work),
+    table.AddRow({w.name, std::to_string(fast.results), FmtSpread(ms[0]),
+                  FmtSpread(ms[1]), std::to_string(base.work),
                   std::to_string(fast.work), Fmt(reduction, 1) + "x"});
     report.Add(w.name + "_oracle_work", static_cast<double>(base.work));
     report.Add(w.name + "_planner_work", static_cast<double>(fast.work));
     report.Add(w.name + "_work_reduction", reduction);
-    report.Add(w.name + "_oracle_ms", base.ms);
-    report.Add(w.name + "_planner_ms", fast.ms);
+    report.AddMeasurement(w.name + "_oracle_ms", ms[0]);
+    report.AddMeasurement(w.name + "_planner_ms", ms[1]);
     report.Add(w.name + "_index_builds",
                static_cast<double>(fast.stats.index_builds));
   }
@@ -166,9 +185,10 @@ int main() {
   // left-recursive rows join work covers the demanded slice of the
   // recursion instead of the full transitive closure. Query's time
   // includes the rewrite.
-  std::printf("\nJ2: Query (goal-directed rewrite) vs planner alone\n\n");
-  Table opt_table({"workload", "results", "planner ms", "query ms",
-                   "planner work", "query work", "work reduction", "rewrite"});
+  std::printf("J2: Query (goal-directed rewrite) vs planner alone\n\n");
+  Table opt_table({"workload", "results", "planner ms [p10, p90]",
+                   "query ms [p10, p90]", "planner work", "query work",
+                   "work reduction", "rewrite"});
   // Left-recursive tc keeps the bound source in the recursive call, so
   // demand stays the goal's constant (closed). Right-recursive tc and
   // same-generation demand every node the recursion passes through
@@ -199,19 +219,28 @@ int main() {
                    program.status().ToString().c_str());
       continue;
     }
-    Measured base = RunProgram(program.value(), w.db, planner, w.goal);
-
-    obs::MetricsRegistry metrics;
-    EvalOptions query_options;
-    query_options.metrics = &metrics;
-    Database db = w.db;
+    Measured base;
     size_t results = 0;
-    double query_ms = TimeMs([&] {
-      Result<std::vector<Tuple>> answer =
-          datalog::Query(program.value(), &db, w.goal, query_options);
-      if (answer.ok()) results = answer.value().size();
-    });
-    size_t query_work = SessionJoinWork(metrics.Snapshot());
+    size_t query_work = 0;
+    std::vector<Measurement> ms = MeasureInterleaved(
+        kReps, kWarmup,
+        {[&] {
+           base = RunProgram(program.value(), w.db, planner, w.goal);
+           return base.ms;
+         },
+         [&] {
+           obs::MetricsRegistry metrics;
+           EvalOptions query_options;
+           query_options.metrics = &metrics;
+           Database db = w.db;
+           double query_ms = TimeMs([&] {
+             Result<std::vector<Tuple>> answer =
+                 datalog::Query(program.value(), &db, w.goal, query_options);
+             if (answer.ok()) results = answer.value().size();
+           });
+           query_work = SessionJoinWork(metrics.Snapshot());
+           return query_ms;
+         }});
     datalog::RewriteReport rewrite =
         datalog::RewriteForGoal(program.value(), w.goal, w.db).report;
     double reduction = query_work > 0
@@ -222,15 +251,15 @@ int main() {
       std::fprintf(stderr, "%s: RESULT MISMATCH %zu vs %zu\n", w.name.c_str(),
                    base.results, results);
     }
-    opt_table.AddRow({w.name, std::to_string(results), Fmt(base.ms, 1),
-                      Fmt(query_ms, 1), std::to_string(base.work),
+    opt_table.AddRow({w.name, std::to_string(results), FmtSpread(ms[0], 2),
+                      FmtSpread(ms[1], 2), std::to_string(base.work),
                       std::to_string(query_work), Fmt(reduction, 1) + "x",
                       rewrite.Summary()});
     report.Add(w.name + "_planner_work", static_cast<double>(base.work));
     report.Add(w.name + "_query_work", static_cast<double>(query_work));
     report.Add(w.name + "_work_reduction", reduction);
-    report.Add(w.name + "_planner_ms", base.ms);
-    report.Add(w.name + "_query_ms", query_ms);
+    report.AddMeasurement(w.name + "_planner_ms", ms[0]);
+    report.AddMeasurement(w.name + "_query_ms", ms[1]);
     report.Add(w.name + "_magic_applied", rewrite.magic_applied ? 1.0 : 0.0);
   }
   opt_table.Print();
@@ -264,23 +293,28 @@ int main() {
     return ms;
   };
   size_t base_work = 0, fast_work = 0, base_rows = 0, fast_rows = 0;
-  double base_ms = run_session(oracle, &base_work, &base_rows);
-  double fast_ms = run_session(planner, &fast_work, &fast_rows);
+  std::vector<Measurement> session_ms = MeasureInterleaved(
+      kReps, kWarmup,
+      {[&] { return run_session(oracle, &base_work, &base_rows); },
+       [&] { return run_session(planner, &fast_work, &fast_rows); }});
   double reduction =
       fast_work > 0 ? static_cast<double>(base_work) / fast_work : 0.0;
   if (base_rows != fast_rows) {
     std::fprintf(stderr, "scenario: RESULT MISMATCH %zu vs %zu\n", base_rows,
                  fast_rows);
   }
-  table.AddRow({"scenario_1000", std::to_string(fast_rows), Fmt(base_ms, 0),
-                Fmt(fast_ms, 0), std::to_string(base_work),
+  table.AddRow({"scenario_1000", std::to_string(fast_rows),
+                FmtSpread(session_ms[0]), FmtSpread(session_ms[1]),
+                std::to_string(base_work),
                 std::to_string(fast_work), Fmt(reduction, 1) + "x"});
   report.Add("scenario_1000_oracle_work", static_cast<double>(base_work));
   report.Add("scenario_1000_planner_work", static_cast<double>(fast_work));
   report.Add("scenario_1000_work_reduction", reduction);
-  report.Add("scenario_1000_oracle_ms", base_ms);
-  report.Add("scenario_1000_planner_ms", fast_ms);
+  report.AddMeasurement("scenario_1000_oracle_ms", session_ms[0]);
+  report.AddMeasurement("scenario_1000_planner_ms", session_ms[1]);
 
+  std::printf(
+      "\nJ1: join planner (composite indexes) vs full-scan oracle\n\n");
   table.Print();
   std::printf("\nscenario_1000 join-work reduction: %.1fx (target >= 5x)\n",
               reduction);

@@ -29,10 +29,10 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "datalog/database.h"
 #include "datalog/evaluator.h"
 #include "datalog/explain.h"
 #include "datalog/parser.h"
+#include "kb/database.h"
 #include "obs/http_server.h"
 #include "wrangler/session.h"
 

@@ -494,7 +494,6 @@ class Checker {
       for (const auto& [name, info] : catalog_->entries()) {
         if (idb_.count(name) > 0) continue;  // derived: fixpoint covers it
         dataflow::PredicateSeed seed;
-        seed.cardinality = dataflow::kCardUnbounded;
         for (AttributeType at : info.attribute_types) {
           dataflow::PosFacts pf = dataflow::PosFacts::Top();
           switch (at) {

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <set>
 
-#include "datalog/database.h"
 #include "datalog/evaluator.h"
 
 namespace vada::datalog::dataflow {
@@ -131,15 +129,9 @@ class Analysis {
 
     // Findings pass against the final (stable) state.
     result_.rule_findings.resize(program_.rules.size());
-    rule_fires_.resize(program_.rules.size(), false);
-    widen_ = false;
     for (size_t ri = 0; ri < program_.rules.size(); ++ri) {
-      contribute_ = false;
-      rule_fires_[ri] =
-          EvalRule(program_.rules[ri], &result_.rule_findings[ri]);
-      contribute_ = true;
+      EvalRule(program_.rules[ri], &result_.rule_findings[ri]);
     }
-    ComputeCardinalities();
     return std::move(result_);
   }
 
@@ -169,19 +161,15 @@ class Analysis {
     for (auto& [pred, pf] : result_.predicates) {
       auto seed = seeds_.find(pred);
       if (seed != seeds_.end()) {
-        seeded_card_[pred] = seed->second.cardinality;
-        if (seed->second.cardinality > 0) {
-          pf.possibly_nonempty = true;
-          for (size_t i = 0; i < pf.positions.size(); ++i) {
-            pf.positions[i] = i < seed->second.positions.size()
-                                  ? seed->second.positions[i]
-                                  : PosFacts::Top();
-          }
+        pf.possibly_nonempty = true;
+        for (size_t i = 0; i < pf.positions.size(); ++i) {
+          pf.positions[i] = i < seed->second.positions.size()
+                                ? seed->second.positions[i]
+                                : PosFacts::Top();
         }
       } else if (idb_.count(pred) == 0 && options_.assume_unknown_nonempty) {
         // Open world: an unseeded, non-derived predicate may hold
         // anything.
-        seeded_card_[pred] = kCardUnbounded;
         pf.possibly_nonempty = true;
         for (PosFacts& p : pf.positions) p = PosFacts::Top();
       }
@@ -202,12 +190,13 @@ class Analysis {
     findings->push_back(RuleFinding{kind, pos, std::move(message)});
   }
 
-  /// Abstractly evaluates one rule against the current state. Returns
-  /// whether the rule can possibly fire; when it can and contribute_ is
-  /// set, joins the head abstraction into the head predicate's state.
-  /// When `findings` is non-null, the first emptiness proof found is
-  /// recorded (one finding per rule keeps lint output readable).
-  bool EvalRule(const Rule& rule, std::vector<RuleFinding>* findings) {
+  /// Abstractly evaluates one rule against the current state. With null
+  /// `findings` (the fixpoint rounds), a rule that can possibly fire
+  /// joins its head abstraction into the head predicate's state.
+  /// Otherwise (the findings pass) the state is final and only the first
+  /// emptiness proof found is recorded (one finding per rule keeps lint
+  /// output readable).
+  void EvalRule(const Rule& rule, std::vector<RuleFinding>* findings) {
     std::map<std::string, PosFacts> vars;
 
     // 1. Positive atoms bind variables to the meet of their positions
@@ -220,7 +209,7 @@ class Analysis {
              AnchorPos(lit.pos, rule.pos),
              "body atom " + lit.atom.predicate +
                  "(...) reads a provably-empty predicate");
-        return false;
+        return;
       }
       for (size_t i = 0; i < lit.atom.terms.size(); ++i) {
         const Term& t = lit.atom.terms[i];
@@ -233,7 +222,7 @@ class Analysis {
                  "constant " + t.value().ToLiteral() + " can never match " +
                      lit.atom.predicate + " position " + std::to_string(i) +
                      " (inferred types " + posf.types.ToString() + ")");
-            return false;
+            return;
           }
           if (posf.Meet(PosFacts::FromValue(t.value())).empty()) {
             Fail(findings, FindingKind::kEmptyRule,
@@ -242,7 +231,7 @@ class Analysis {
                      t.value().ToLiteral() + " at position " +
                      std::to_string(i) + " (inferred " + posf.ToString() +
                      ")");
-            return false;
+            return;
           }
           continue;
         }
@@ -265,7 +254,7 @@ class Analysis {
                      " has no common values (" + it->second.ToString() +
                      " vs " + posf.ToString() + ")");
           }
-          return false;
+          return;
         }
         it->second = met;
       }
@@ -301,7 +290,7 @@ class Analysis {
             Fail(findings, FindingKind::kTypeClash, lit.pos,
                  "arithmetic in " + lit.ToString() +
                      " applies to a provably non-numeric operand");
-            return false;
+            return;
           }
           computed = AbstractArith(lit.arith_op, *a, *b);
         }
@@ -320,7 +309,7 @@ class Analysis {
                "check " + lit.ToString() + " can never hold (" +
                    it->second.ToString() + " vs " + computed.ToString() +
                    ")");
-          return false;
+          return;
         }
         it->second = met;
       }
@@ -333,7 +322,7 @@ class Analysis {
         if (!EvalCompare(lit.compare_op, lit.lhs.value(), lit.rhs.value())) {
           Fail(findings, FindingKind::kUnsatisfiableGuard, lit.pos,
                "guard " + lit.ToString() + " is always false");
-          return false;
+          return;
         }
         continue;
       }
@@ -352,7 +341,7 @@ class Analysis {
                    " can never succeed: operand types " +
                    la.types.ToString() + " and " + ra.types.ToString() +
                    " are never comparable");
-          return false;
+          return;
         }
       }
       // Exhaustive check over small constant sets.
@@ -373,7 +362,7 @@ class Analysis {
                    " can never hold for the inferred values (" +
                    la.consts.ToString() + " vs " + ra.consts.ToString() +
                    ")");
-          return false;
+          return;
         }
       }
       // Refinement of variable operands.
@@ -386,7 +375,7 @@ class Analysis {
             Fail(findings, FindingKind::kContradictoryComparisons, lit.pos,
                  "equality " + lit.ToString() + " can never hold (" +
                      la.ToString() + " vs " + ra.ToString() + ")");
-            return false;
+            return;
           }
           new_la = met;
           new_ra = met;
@@ -430,14 +419,14 @@ class Analysis {
       };
       write_back(lit.lhs, new_la);
       write_back(lit.rhs, new_ra);
-      if (contradiction) return false;
+      if (contradiction) return;
     }
 
     // Negations never refine (a sound no-op: ignoring a filter only
     // widens the abstraction).
 
     // 4. Head contribution.
-    if (!contribute_) return true;
+    if (findings != nullptr) return;
     PredicateFacts& head = StateOf(rule.head.predicate);
     if (!head.possibly_nonempty) {
       head.possibly_nonempty = true;
@@ -465,93 +454,6 @@ class Analysis {
         changed_ = true;
       }
     }
-    return true;
-  }
-
-  // -------------------------------------------------------------------
-  // Cardinality bounds (post-fixpoint).
-  // -------------------------------------------------------------------
-
-  /// ∏ over positions of the const-set size — the number of distinct
-  /// facts a predicate can hold when every position ranges over a known
-  /// finite domain. Unbounded as soon as one position is ⊤.
-  size_t DomainBound(const PredicateFacts& pf) const {
-    if (!pf.possibly_nonempty) return 0;
-    size_t bound = 1;
-    for (const PosFacts& p : pf.positions) {
-      if (p.consts.is_top()) return kCardUnbounded;
-      bound = CardMul(bound, std::max<size_t>(p.consts.size(), 1));
-    }
-    return bound;
-  }
-
-  void ComputeCardinalities() {
-    // Positive dependency closure; a predicate in a positive cycle is
-    // recursive and falls back to its domain bound.
-    std::map<std::string, std::set<std::string>> reach;
-    for (const Rule& rule : program_.rules) {
-      for (const Literal& lit : rule.body) {
-        if (lit.kind != Literal::Kind::kAtom) continue;
-        reach[rule.head.predicate].insert(lit.atom.predicate);
-      }
-    }
-    bool grew = true;
-    while (grew) {
-      grew = false;
-      for (auto& [head, deps] : reach) {
-        std::set<std::string> add;
-        for (const std::string& d : deps) {
-          auto it = reach.find(d);
-          if (it == reach.end()) continue;
-          for (const std::string& dd : it->second) {
-            if (deps.count(dd) == 0) add.insert(dd);
-          }
-        }
-        if (!add.empty()) {
-          deps.insert(add.begin(), add.end());
-          grew = true;
-        }
-      }
-    }
-    auto recursive = [&reach](const std::string& pred) {
-      auto it = reach.find(pred);
-      return it != reach.end() && it->second.count(pred) > 0;
-    };
-
-    std::map<std::string, size_t> memo;
-    // DFS over the (acyclic, once recursion is cut) dependency DAG.
-    std::function<size_t(const std::string&)> card =
-        [&](const std::string& pred) -> size_t {
-      auto it = memo.find(pred);
-      if (it != memo.end()) return it->second;
-      const PredicateFacts& pf = StateOf(pred);
-      if (!pf.possibly_nonempty) return memo[pred] = 0;
-      size_t seed = 0;
-      auto sit = seeded_card_.find(pred);
-      if (sit != seeded_card_.end()) seed = sit->second;
-      if (recursive(pred)) {
-        return memo[pred] = std::max(DomainBound(pf), seed == kCardUnbounded
-                                                          ? kCardUnbounded
-                                                          : seed);
-      }
-      memo[pred] = DomainBound(pf);  // cycle guard for safety
-      size_t total = seed;
-      for (size_t ri = 0; ri < program_.rules.size(); ++ri) {
-        const Rule& rule = program_.rules[ri];
-        if (rule.head.predicate != pred) continue;
-        if (ri < rule_fires_.size() && !rule_fires_[ri]) continue;
-        size_t rule_card = 1;
-        for (const Literal& lit : rule.body) {
-          if (lit.kind != Literal::Kind::kAtom) continue;
-          rule_card = CardMul(rule_card, card(lit.atom.predicate));
-        }
-        total = CardAdd(total, rule_card);
-      }
-      return memo[pred] = std::min(total, DomainBound(pf));
-    };
-    for (auto& [pred, pf] : result_.predicates) {
-      pf.cardinality = card(pred);
-    }
   }
 
   const Program& program_;
@@ -560,11 +462,8 @@ class Analysis {
 
   DataflowResult result_;
   std::set<std::string> idb_;
-  std::map<std::string, size_t> seeded_card_;
-  std::vector<bool> rule_fires_;
   bool changed_ = false;
   bool widen_ = false;
-  bool contribute_ = true;
 };
 
 }  // namespace
@@ -588,33 +487,6 @@ bool DataflowResult::RuleProvablyEmpty(size_t rule_index) const {
   // be satisfied, so the rule never derives a fact.
   return rule_index < rule_findings.size() &&
          !rule_findings[rule_index].empty();
-}
-
-EdbSeeds SeedsFromDatabase(const Database& db, size_t scan_cap) {
-  EdbSeeds seeds;
-  for (const std::string& pred : db.Predicates()) {
-    const std::vector<Tuple>& facts = db.facts(pred);
-    PredicateSeed seed;
-    seed.cardinality = facts.size();
-    if (facts.empty()) {
-      seeds.emplace(pred, std::move(seed));
-      continue;
-    }
-    if (facts.size() > scan_cap) {
-      seed.positions.assign(facts.front().size(), PosFacts::Top());
-      seeds.emplace(pred, std::move(seed));
-      continue;
-    }
-    seed.positions.assign(facts.front().size(), PosFacts::Bottom());
-    for (const Tuple& t : facts) {
-      for (size_t i = 0; i < t.size() && i < seed.positions.size(); ++i) {
-        seed.positions[i] =
-            seed.positions[i].Join(PosFacts::FromValue(t.at(i)));
-      }
-    }
-    seeds.emplace(pred, std::move(seed));
-  }
-  return seeds;
 }
 
 DataflowResult AnalyzeDataflow(const Program& program, const EdbSeeds& seeds,

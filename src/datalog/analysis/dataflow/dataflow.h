@@ -9,18 +9,12 @@
 #include "datalog/analysis/dataflow/lattice.h"
 #include "datalog/ast.h"
 
-namespace vada::datalog {
-class Database;
-}  // namespace vada::datalog
-
 namespace vada::datalog::dataflow {
 
-/// Seed facts about one EDB predicate: what the database (or a schema
-/// catalog) already knows before any rule fires.
+/// Seed facts about one EDB predicate that may hold facts: what a
+/// schema catalog (or a test's database) already knows before any rule
+/// fires.
 struct PredicateSeed {
-  /// Exact fact count when seeded from a Database; kCardUnbounded when
-  /// only a schema is known (catalog seeding).
-  size_t cardinality = 0;
   /// Per-position abstraction of the stored facts; may be shorter than
   /// the arity used in the program (missing positions default to ⊤).
   std::vector<PosFacts> positions;
@@ -29,11 +23,6 @@ struct PredicateSeed {
 /// predicate name -> seed. Predicates absent from the map are handled
 /// per DataflowOptions::assume_unknown_nonempty.
 using EdbSeeds = std::map<std::string, PredicateSeed>;
-
-/// Builds seeds by scanning `db`. Relations larger than `scan_cap`
-/// facts get exact cardinality but ⊤ position abstractions (scanning
-/// millions of rows to build a 32-element const set is wasted work).
-EdbSeeds SeedsFromDatabase(const Database& db, size_t scan_cap = 4096);
 
 struct DataflowOptions {
   /// Open world (lint without a knowledge base): body predicates that
@@ -75,9 +64,6 @@ struct RuleFinding {
 /// Everything the fixpoint inferred about one predicate.
 struct PredicateFacts {
   std::vector<PosFacts> positions;
-  /// Static upper bound on the number of distinct facts (kCardUnbounded
-  /// when recursion over an unbounded domain defeats the analysis).
-  size_t cardinality = 0;
   /// False means *provably* empty: no seed facts and no rule can fire.
   bool possibly_nonempty = false;
 };

@@ -198,21 +198,4 @@ std::string PosFacts::ToString() const {
   return out;
 }
 
-size_t CardAdd(size_t a, size_t b) {
-  if (a == kCardUnbounded || b == kCardUnbounded) return kCardUnbounded;
-  if (a > kCardUnbounded - b) return kCardUnbounded;
-  return a + b;
-}
-
-size_t CardMul(size_t a, size_t b) {
-  if (a == 0 || b == 0) return 0;
-  if (a == kCardUnbounded || b == kCardUnbounded) return kCardUnbounded;
-  if (a > kCardUnbounded / b) return kCardUnbounded;
-  return a * b;
-}
-
-std::string CardToString(size_t card) {
-  return card == kCardUnbounded ? "unbounded" : std::to_string(card);
-}
-
 }  // namespace vada::datalog::dataflow

@@ -114,8 +114,7 @@ struct Interval {
 class ConstSet {
  public:
   /// Values tracked before the set widens to ⊤. Small on purpose: the
-  /// sets exist to prove emptiness and to bound recursive cardinality
-  /// (|tc| <= |nodes|^2), not to enumerate data.
+  /// sets exist to prove emptiness, not to enumerate data.
   static constexpr size_t kMaxConsts = 32;
 
   /// ⊥ — no value possible.
@@ -211,16 +210,6 @@ struct PosFacts {
 
   std::string ToString() const;
 };
-
-// ---------------------------------------------------------------------
-// Cardinality bounds: saturating arithmetic on fact-count upper bounds.
-// ---------------------------------------------------------------------
-inline constexpr size_t kCardUnbounded = std::numeric_limits<size_t>::max();
-
-size_t CardAdd(size_t a, size_t b);
-size_t CardMul(size_t a, size_t b);
-/// "unbounded" or the number.
-std::string CardToString(size_t card);
 
 }  // namespace vada::datalog::dataflow
 

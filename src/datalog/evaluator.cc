@@ -7,7 +7,7 @@
 #include "datalog/explain.h"
 #include "datalog/goal_rewrite.h"
 #include "datalog/rule_executor.h"
-#include "datalog/symbol_table.h"
+#include "kb/symbol_table.h"
 #include "obs/span.h"
 
 namespace vada::datalog {

@@ -6,10 +6,10 @@
 
 #include "common/status.h"
 #include "datalog/ast.h"
-#include "datalog/database.h"
 #include "datalog/planner.h"
 #include "datalog/provenance.h"
 #include "datalog/stratify.h"
+#include "kb/database.h"
 #include "obs/metrics.h"
 
 namespace vada::datalog {

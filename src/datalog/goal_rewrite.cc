@@ -7,8 +7,8 @@
 #include <utility>
 #include <vector>
 
-#include "datalog/database.h"
 #include "datalog/stratify.h"
+#include "kb/database.h"
 
 namespace vada::datalog {
 

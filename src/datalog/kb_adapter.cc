@@ -28,8 +28,7 @@ std::vector<std::string> ReferencedRelations(const Program& program) {
 void LoadReferencedRelations(const Program& program, const KnowledgeBase& kb,
                              Database* db) {
   for (const std::string& pred : ReferencedRelations(program)) {
-    const Relation* rel = kb.FindRelation(pred);
-    if (rel != nullptr) db->LoadRelation(*rel);
+    db->AttachShared(kb.Snapshot(pred));
   }
 }
 

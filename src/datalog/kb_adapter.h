@@ -6,8 +6,8 @@
 
 #include "common/status.h"
 #include "datalog/ast.h"
-#include "datalog/database.h"
 #include "datalog/evaluator.h"
+#include "kb/database.h"
 #include "kb/knowledge_base.h"
 
 namespace vada::datalog {
@@ -19,10 +19,12 @@ namespace vada::datalog {
 /// dependency memo, DESIGN.md §5e).
 std::vector<std::string> ReferencedRelations(const Program& program);
 
-/// Loads exactly ReferencedRelations(program) into `db`. Dependency
-/// checks and Vadalog transducers run hundreds of times per wrangle, so
-/// each evaluation stays proportional to the data it touches instead of
-/// the whole knowledge base.
+/// Borrows exactly ReferencedRelations(program) into `db` from the
+/// knowledge base's snapshots (KnowledgeBase::Snapshot): no row is
+/// copied or re-interned, and writes to `db` detach copy-on-write.
+/// Dependency checks and Vadalog transducers run hundreds of times per
+/// wrangle, so each evaluation stays proportional to the data it touches
+/// instead of the whole knowledge base.
 void LoadReferencedRelations(const Program& program, const KnowledgeBase& kb,
                              Database* db);
 

@@ -4,7 +4,7 @@
 #include <set>
 #include <string>
 
-#include "datalog/database.h"
+#include "kb/database.h"
 
 namespace vada::datalog {
 

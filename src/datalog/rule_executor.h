@@ -15,11 +15,11 @@
 #include <vector>
 
 #include "datalog/ast.h"
-#include "datalog/database.h"
 #include "datalog/evaluator.h"
 #include "datalog/explain.h"
 #include "datalog/planner.h"
-#include "datalog/symbol_table.h"
+#include "kb/database.h"
+#include "kb/symbol_table.h"
 
 namespace vada::datalog {
 

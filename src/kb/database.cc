@@ -1,4 +1,4 @@
-#include "datalog/database.h"
+#include "kb/database.h"
 
 #include <algorithm>
 #include <utility>

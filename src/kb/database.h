@@ -1,5 +1,5 @@
-#ifndef VADA_DATALOG_DATABASE_H_
-#define VADA_DATALOG_DATABASE_H_
+#ifndef VADA_KB_DATABASE_H_
+#define VADA_KB_DATABASE_H_
 
 #include <cstdint>
 #include <map>
@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
-#include "datalog/symbol_table.h"
+#include "kb/symbol_table.h"
 #include "kb/relation.h"
 #include "kb/tuple.h"
 
@@ -62,8 +62,8 @@ struct BoundIndex {
 /// snapshots (AttachShared): reads see the shared store without copying
 /// a single id, and the first write to a borrowed predicate detaches it
 /// by deep copy (a memcpy of id vectors — no string traffic). This is
-/// what lets the snapshot cache hand one per-relation snapshot to many
-/// concurrent evaluations.
+/// what lets the knowledge base hand one per-relation snapshot
+/// (KnowledgeBase::Snapshot) to every evaluation that reads it.
 class Database {
  public:
   Database();
@@ -89,7 +89,8 @@ class Database {
   bool InsertIds(const std::string& predicate, const SymbolId* ids, size_t n);
 
   /// Loads every row of `relation` under its relation name (the KB ->
-  /// engine boundary: values are interned here, once per load).
+  /// engine boundary: KnowledgeBase::Snapshot interns a relation's
+  /// values here, once per change of the relation).
   void LoadRelation(const Relation& relation);
 
   /// Borrows every predicate of `base` as a read-only view backed by the
@@ -140,8 +141,8 @@ class Database {
   /// build (each index is built at most once per invalidation cycle).
   ///
   /// Borrowed predicates delegate to the owning snapshot database, so
-  /// every evaluation sharing one snapshot (via SnapshotCache /
-  /// AttachShared) shares one index. Thread-safe: concurrent const
+  /// every evaluation sharing one snapshot (via KnowledgeBase::Snapshot
+  /// and AttachShared) shares one index. Thread-safe: concurrent const
   /// callers may race to build; the returned index is immutable until
   /// the next Insert into the predicate (or Clear), which drops the
   /// predicate's composite indexes. Callers must not hold the pointer
@@ -220,4 +221,4 @@ class Database {
 
 }  // namespace vada::datalog
 
-#endif  // VADA_DATALOG_DATABASE_H_
+#endif  // VADA_KB_DATABASE_H_

@@ -1,19 +1,19 @@
 #include "kb/knowledge_base.h"
 
+#include "kb/database.h"
 #include "kb/durability.h"
 #include "kb/write_guard.h"
 
 namespace vada {
 
 void KnowledgeBase::Bump(const std::string& name) {
-  // Per-relation versions are allocated from the global counter instead
-  // of counting independently, so they are unique across a relation's
-  // whole history: a relation that is dropped (which erases its version
-  // entry) and later recreated can never land on a version number it
-  // already used. Version-keyed consumers — the dependency-scan
-  // snapshot cache — rely on this to treat (name, version) as an
-  // immutable content key.
+  // Per-relation versions are allocated from the global counter, so a
+  // relation that is dropped and recreated outside a guard never lands
+  // on a version it already used (WriteGuard::Rollback rewinds the
+  // counter, so versions are not content keys). The snapshot is dropped
+  // here because it is valid only while the rows are unchanged.
   versions_[name] = ++global_version_;
+  snapshots_.erase(name);
 }
 
 void KnowledgeBase::WillMutate(const std::string& name) {
@@ -65,6 +65,27 @@ const Relation* KnowledgeBase::FindRelation(const std::string& name) const {
   NoteRead(name);
   auto it = relations_.find(name);
   return it == relations_.end() ? nullptr : &it->second;
+}
+
+std::shared_ptr<const datalog::Database> KnowledgeBase::Snapshot(
+    const std::string& name) const {
+  const Relation* rel = FindRelation(name);
+  if (rel == nullptr) return nullptr;
+  std::shared_ptr<const datalog::Database>& snapshot = snapshots_[name];
+  if (snapshot == nullptr) {
+    auto built = std::make_shared<datalog::Database>();
+    built->LoadRelation(*rel);
+    snapshot = std::move(built);
+  }
+  return snapshot;
+}
+
+size_t KnowledgeBase::SnapshotIndexBytes() const {
+  size_t bytes = 0;
+  for (const auto& [name, snapshot] : snapshots_) {
+    bytes += snapshot->IndexBytes();
+  }
+  return bytes;
 }
 
 Result<const Relation*> KnowledgeBase::GetRelation(
@@ -160,6 +181,7 @@ Status KnowledgeBase::DropRelation(const std::string& name) {
   facts_removed_ += it->second.size();
   relations_.erase(it);
   versions_.erase(name);
+  snapshots_.erase(name);
   // Catalog.Remove notifies the durability listener itself (a
   // kCatalogRole tombstone), then the drop record follows it.
   catalog_.Remove(name);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -11,6 +12,10 @@
 #include "common/status.h"
 #include "kb/catalog.h"
 #include "kb/relation.h"
+
+namespace vada::datalog {
+class Database;
+}  // namespace vada::datalog
 
 namespace vada {
 
@@ -33,8 +38,9 @@ class KnowledgeBase {
   /// What one transducer step touched while attached with SetReadLog
   /// (the orchestrator's read-set gate, DESIGN.md §5e).
   struct ReadLog {
-    /// Read by FindRelation, GetRelation, HasRelation, relation_version,
-    /// NoteRead or ReplaceRelationIfChanged's comparison.
+    /// Read by FindRelation, GetRelation, Snapshot, HasRelation,
+    /// relation_version, NoteRead or ReplaceRelationIfChanged's
+    /// comparison.
     std::set<std::string> relations;
     /// Changed other than by ReplaceRelationIfChanged: version before.
     std::map<std::string, uint64_t> overwritten;
@@ -66,6 +72,21 @@ class KnowledgeBase {
 
   /// Read access with error reporting.
   Result<const Relation*> GetRelation(const std::string& name) const;
+
+  /// The relation's immutable columnar snapshot for the reasoner (a
+  /// one-relation `datalog::Database`), or nullptr when absent. Built
+  /// lazily on first request and shared until the relation next
+  /// changes: every version bump, DropRelation and WriteGuard rollback
+  /// drops it, so a snapshot never outlives the rows it was built from.
+  /// Evaluations borrow it (`Database::AttachShared`) instead of copying
+  /// rows, and share its lazily built join indexes. Logged as a read,
+  /// like FindRelation.
+  std::shared_ptr<const datalog::Database> Snapshot(
+      const std::string& name) const;
+
+  /// Approximate resident bytes of the join indexes built on the live
+  /// snapshots (`vada_index_bytes`).
+  size_t SnapshotIndexBytes() const;
 
   /// Inserts one tuple; bumps versions only when the tuple is new.
   Status Insert(const std::string& relation_name, Tuple tuple);
@@ -152,6 +173,9 @@ class KnowledgeBase {
 
   std::map<std::string, Relation> relations_;
   std::map<std::string, uint64_t> versions_;
+  /// Snapshot() results, one per relation read since its last change.
+  mutable std::map<std::string, std::shared_ptr<const datalog::Database>>
+      snapshots_;
   uint64_t global_version_ = 0;
   uint64_t facts_added_ = 0;
   uint64_t facts_removed_ = 0;

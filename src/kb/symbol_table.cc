@@ -1,4 +1,4 @@
-#include "datalog/symbol_table.h"
+#include "kb/symbol_table.h"
 
 namespace vada::datalog {
 

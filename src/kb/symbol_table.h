@@ -1,5 +1,5 @@
-#ifndef VADA_DATALOG_SYMBOL_TABLE_H_
-#define VADA_DATALOG_SYMBOL_TABLE_H_
+#ifndef VADA_KB_SYMBOL_TABLE_H_
+#define VADA_KB_SYMBOL_TABLE_H_
 
 #include <atomic>
 #include <cstdint>
@@ -101,4 +101,4 @@ class SymbolTable {
 
 }  // namespace vada::datalog
 
-#endif  // VADA_DATALOG_SYMBOL_TABLE_H_
+#endif  // VADA_KB_SYMBOL_TABLE_H_

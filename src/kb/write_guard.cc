@@ -49,6 +49,8 @@ void WriteGuard::Rollback() {
   done_ = true;
   kb_->guard_ = nullptr;
   for (auto& [name, pre_image] : touched_) {
+    // Built from rows the rollback discards (or from none at all).
+    kb_->snapshots_.erase(name);
     if (pre_image.has_value()) {
       kb_->relations_.insert_or_assign(name, std::move(*pre_image));
     } else {

@@ -19,7 +19,9 @@ namespace vada {
 /// relation contents and row order, per-relation and global version
 /// counters, the facts_added/facts_removed lifetime counters, and the
 /// catalog roles — so a failed or timed-out transducer Execute() leaves
-/// no trace in the KB. The orchestrator wraps every Execute() in a guard
+/// no trace in the KB. It drops the columnar snapshot (Snapshot()) of
+/// every relation it restores; the next read rebuilds it from the
+/// restored rows. The orchestrator wraps every Execute() in a guard
 /// and commits only on success.
 ///
 ///   {

@@ -23,13 +23,7 @@ Result<Relation> MappingExecutor::Execute(const Mapping& mapping,
   // of the head predicate, accumulating stale tuples across re-runs.
   datalog::Database db;
   for (const std::string& source : mapping.source_relations) {
-    if (cache_ != nullptr) {
-      std::shared_ptr<const datalog::Database> snap = cache_->Get(kb, source);
-      if (snap != nullptr) db.AttachShared(std::move(snap));
-      continue;
-    }
-    const Relation* rel = kb.FindRelation(source);
-    if (rel != nullptr) db.LoadRelation(*rel);
+    db.AttachShared(kb.Snapshot(source));
   }
   datalog::EvalOptions eval_options;
   eval_options.planner = planner_;

@@ -7,7 +7,6 @@
 #include "common/status.h"
 #include "datalog/planner.h"
 #include "datalog/provenance.h"
-#include "datalog/snapshot_cache.h"
 #include "kb/knowledge_base.h"
 #include "kb/schema.h"
 #include "mapping/mapping.h"
@@ -24,19 +23,13 @@ class MappingExecutor {
   explicit MappingExecutor(datalog::PlannerOptions planner = {})
       : planner_(planner) {}
 
-  /// Optional version-keyed snapshot cache for source-relation loads.
-  /// When set, each mapping borrows immutable shared snapshots of its
-  /// sources (zero-copy, indexes shared across mappings) instead of
-  /// re-interning every source relation per Execute call. Not owned;
-  /// must outlive the executor. Always safe: snapshots are keyed on KB
-  /// relation versions, so a stale entry can never be returned.
-  void set_snapshot_cache(datalog::SnapshotCache* cache) { cache_ = cache; }
-
-  /// Evaluates `mapping` against the source instances in `kb` and returns
-  /// the result as a relation with the target schema's attribute names,
-  /// named `mapping.result_predicate`. When `provenance` is non-null,
-  /// records the derivation of every result tuple (rule + ground source
-  /// tuples), enabling row-level explanations.
+  /// Evaluates `mapping` against the source instances in `kb` (borrowed
+  /// from KnowledgeBase::Snapshot, so mappings that read one source
+  /// share its rows and join indexes) and returns the result as a
+  /// relation with the target schema's attribute names, named
+  /// `mapping.result_predicate`. When `provenance` is non-null, records
+  /// the derivation of every result tuple (rule + ground source tuples),
+  /// enabling row-level explanations.
   Result<Relation> Execute(const Mapping& mapping, const Schema& target,
                            const KnowledgeBase& kb,
                            datalog::Provenance* provenance = nullptr) const;
@@ -49,7 +42,6 @@ class MappingExecutor {
 
  private:
   datalog::PlannerOptions planner_;
-  datalog::SnapshotCache* cache_ = nullptr;
 };
 
 }  // namespace vada

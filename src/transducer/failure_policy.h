@@ -6,17 +6,6 @@
 
 namespace vada {
 
-/// What the orchestrator does with a transducer whose Execute() still
-/// fails after every retry of a step.
-enum class FailureAction {
-  /// Bench the transducer (circuit breaker) and keep orchestrating with
-  /// the remaining eligible set — graceful degradation, the default.
-  kQuarantine = 0,
-  /// Abort Run() with the transducer's error — the pre-fault-tolerance
-  /// behaviour, kept for deployments that prefer fail-fast.
-  kAbort,
-};
-
 /// Fault-tolerance policy of the dynamic orchestrator (DESIGN.md §5d).
 ///
 /// Retry: a failed Execute() is rolled back (WriteGuard) and retried up
@@ -70,13 +59,6 @@ struct FailurePolicy {
 
   /// Wall-clock budget for one Run() call; 0 = unlimited.
   double run_budget_ms = 0.0;
-
-  /// Policy once a step exhausts its attempts.
-  FailureAction on_failure_exhausted = FailureAction::kQuarantine;
-
-  /// Whether failures are asserted into the KB as sys_transducer_failure
-  /// / sys_transducer_quarantined facts.
-  bool assert_failure_facts = true;
 
   /// Backoff sleeper; nullptr = std::this_thread::sleep_for. Tests and
   /// benches inject a recorder to keep runs fast and deterministic.

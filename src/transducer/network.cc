@@ -328,9 +328,7 @@ void NetworkTransducer::RecordFailure(Transducer* transducer,
                       {"code", StatusCodeName(error.code())}})
         ->Increment();
   }
-  if (fp.assert_failure_facts) {
-    AssertFailureFact(kb, transducer->name(), error.code(), attempts, step);
-  }
+  AssertFailureFact(kb, transducer->name(), error.code(), attempts, step);
   VADA_LOG(kWarning, "orchestrator")
       << "transducer " << transducer->name() << " failed (attempts: "
       << attempts << ", step: " << step << "): " << error.ToString();
@@ -343,9 +341,7 @@ void NetworkTransducer::RecordFailure(Transducer* transducer,
              fs.consecutive_failures >= fp.quarantine_after) {
     fs.circuit = Circuit::kOpen;
     fs.cooldown_progress = 0;
-    if (fp.assert_failure_facts) {
-      AssertQuarantineFact(kb, transducer->name(), step);
-    }
+    AssertQuarantineFact(kb, transducer->name(), step);
     VADA_LOG(kWarning, "orchestrator")
         << "quarantining transducer " << transducer->name() << " after "
         << fs.consecutive_failures << " consecutive failures";
@@ -364,9 +360,7 @@ void NetworkTransducer::RecordSuccess(Transducer* transducer,
   fs.retry_scheduled = false;
   if (fs.circuit != Circuit::kClosed) {
     fs.circuit = Circuit::kClosed;
-    if (options_.failure_policy.assert_failure_facts) {
-      RetractQuarantineFacts(kb, transducer->name());
-    }
+    RetractQuarantineFacts(kb, transducer->name());
     VADA_LOG(kInfo, "orchestrator")
         << "transducer " << transducer->name() << " exited quarantine";
     PublishQuarantineGauge(metrics);
@@ -514,10 +508,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
         }
         if (!ready.ok()) {
           Status dep_error = DependencyError(*t, ready.status());
-          if (!fp.enabled ||
-              fp.on_failure_exhausted == FailureAction::kAbort) {
-            return finalize(dep_error);
-          }
+          if (!fp.enabled) return finalize(dep_error);
           // Dependency-evaluation failures get the same treatment as
           // execute failures: recorded, counted towards quarantine, and
           // the transducer is skipped instead of aborting the run.
@@ -702,13 +693,6 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
                                    " failed: " + exec_status.message()));
       }
       RecordFailure(chosen, exec_status, attempts, next_step_ - 1, kb, st, m);
-      if (fp.on_failure_exhausted == FailureAction::kAbort) {
-        return finalize(Status(
-            exec_status.code(),
-            "transducer " + chosen->name() + " failed after " +
-                std::to_string(attempts) +
-                " attempt(s): " + exec_status.message()));
-      }
       // Wait for new information (or a quarantine probe) before trying
       // this transducer again: otherwise its own failure facts would make
       // it immediately eligible in a failure loop.

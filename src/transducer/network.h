@@ -211,8 +211,9 @@ class NetworkTransducer {
   };
 
   /// A parsed input-dependency program and its memoized answer, valid
-  /// while every relation in `reads` is at the recorded version (the
-  /// snapshot cache's keying invariant, DESIGN.md §5e). Like
+  /// while every relation in `reads` is at the recorded version. Sound
+  /// because answers are recorded only outside a WriteGuard, so the
+  /// recorded versions are never handed out again (DESIGN.md §5e). Like
   /// last_run_, the memo assumes one KB per orchestrator.
   struct Dependency {
     datalog::Program program;

@@ -10,7 +10,6 @@
 #include "context/data_context.h"
 #include "context/user_context.h"
 #include "datalog/planner.h"
-#include "datalog/snapshot_cache.h"
 #include "feedback/feedback.h"
 #include "fusion/dedup.h"
 #include "feedback/propagation.h"
@@ -74,9 +73,8 @@ struct WranglerConfig {
   /// Fault tolerance of the orchestration loop: write-guard rollback,
   /// retry with exponential backoff, quarantine (circuit breaker),
   /// execution budgets and failure facts. Defaults degrade gracefully;
-  /// set `fault_tolerance.enabled = false` for the bare fail-fast loop
-  /// or `on_failure_exhausted = FailureAction::kAbort` to fail fast
-  /// *with* rollback and retries. See failure_policy.h and DESIGN.md §5d.
+  /// set `fault_tolerance.enabled = false` for the bare fail-fast loop.
+  /// See failure_policy.h and DESIGN.md §5d.
   FailurePolicy fault_tolerance;
   /// Join planning for every Datalog evaluation the session runs —
   /// mapping execution, dependency scans and orchestration queries:
@@ -126,12 +124,6 @@ struct WranglingState {
   /// resulting penalty changes the mappings (see MatchAttribution docs).
   std::vector<MatchAttribution> feedback_attributions;
   std::set<size_t> attributed_feedback_items;
-  /// Version-keyed snapshot cache for mapping execution's source loads
-  /// (always on — correctness is guaranteed by KB relation versions;
-  /// see datalog/snapshot_cache.h). Every mapping that reads a source
-  /// relation borrows one shared immutable snapshot instead of
-  /// re-interning the relation per mapping per run.
-  datalog::SnapshotCache mapping_source_cache;
 };
 
 }  // namespace vada

@@ -4,7 +4,7 @@
 #include "datalog/analysis/analyzer.h"
 #include "datalog/kb_adapter.h"
 #include "datalog/parser.h"
-#include "datalog/symbol_table.h"
+#include "kb/symbol_table.h"
 #include "mapping/executor.h"
 #include "mapping/mapping.h"
 #include "obs/process_stats.h"
@@ -245,13 +245,13 @@ void WranglingSession::PublishKbGauges() const {
       ->Set(static_cast<int64_t>(kb_.facts_added()));
   m->GetGauge("vada_kb_facts_removed", "Lifetime facts removed from the KB")
       ->Set(static_cast<int64_t>(kb_.facts_removed()));
-  // Persistent composite join indexes live only on the mapping-source
+  // Persistent composite join indexes live only on the KB's relation
   // snapshots (per-evaluation scratch copies die with their run), so
-  // that cache is the whole story for index memory.
-  size_t index_bytes = state_->mapping_source_cache.ApproxIndexBytes();
+  // those snapshots are the whole story for index memory.
+  size_t index_bytes = kb_.SnapshotIndexBytes();
   m->GetGauge("vada_index_bytes",
               "Approximate resident bytes of composite join indexes on "
-              "cached mapping-source snapshots")
+              "the knowledge base's relation snapshots")
       ->Set(static_cast<int64_t>(index_bytes));
   // The process-wide symbol table backing the columnar Datalog engine.
   // Monotone by design (ids are never recycled); these gauges are how
@@ -295,9 +295,9 @@ Result<datalog::PlanExplain> WranglingSession::ExplainProgram(
     const std::string& program_text, bool analyze) const {
   Result<datalog::Program> parsed = datalog::Parser::Parse(program_text);
   if (!parsed.ok()) return parsed.status();
-  // Scratch copy of just the relations the program reads: ANALYZE runs
-  // the program for real, and its derived facts must not leak into the
-  // knowledge base.
+  // Scratch database borrowing just the relations the program reads:
+  // ANALYZE runs the program for real, and its derived facts stay in
+  // the scratch database (writes detach copy-on-write), never the KB.
   datalog::Database db;
   datalog::LoadReferencedRelations(parsed.value(), kb_, &db);
   datalog::EvalOptions options;

@@ -178,7 +178,6 @@ Status MappingExecutionBody(WranglingState* state, KnowledgeBase* kb) {
   Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
   if (!mappings.ok()) return mappings.status();
   MappingExecutor executor(state->config.planner);
-  executor.set_snapshot_cache(&state->mapping_source_cache);
   for (const Mapping& m : mappings.value()) {
     Result<Relation> result = executor.Execute(m, target.value(), *kb);
     if (!result.ok()) return result.status();

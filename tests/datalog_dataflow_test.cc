@@ -1,5 +1,5 @@
 // Tests for the dataflow analysis layer (datalog/analysis/dataflow):
-// the abstract lattices, type/constant/cardinality inference to
+// the abstract lattices, type/constant/interval inference to
 // fixpoint, the four lint verdicts; and for Query's goal-directed
 // rewrite (datalog/goal_rewrite.h): cone pruning, magic sets only on
 // closed demand, and the property that rewritten programs always
@@ -17,12 +17,12 @@
 #include "datalog/analysis/analyzer.h"
 #include "datalog/analysis/dataflow/dataflow.h"
 #include "datalog/analysis/dataflow/lattice.h"
-#include "datalog/database.h"
 #include "datalog/evaluator.h"
 #include "datalog/goal_rewrite.h"
 #include "datalog/parser.h"
 #include "datalog/stratify.h"
 #include "datalog_random_program.h"
+#include "kb/database.h"
 
 namespace vada::datalog::dataflow {
 namespace {
@@ -95,15 +95,6 @@ TEST(LatticeTest, PosFactsEmptiness) {
   EXPECT_FALSE(three.Join(four).empty());
 }
 
-TEST(LatticeTest, CardinalityArithmeticSaturates) {
-  EXPECT_EQ(CardAdd(2, 3), 5u);
-  EXPECT_EQ(CardMul(4, 5), 20u);
-  EXPECT_EQ(CardAdd(kCardUnbounded, 1), kCardUnbounded);
-  EXPECT_EQ(CardMul(kCardUnbounded, 0), 0u);
-  EXPECT_EQ(CardMul(kCardUnbounded, 2), kCardUnbounded);
-  EXPECT_EQ(CardMul(SIZE_MAX / 2, 4), kCardUnbounded);
-}
-
 // ---------------------------------------------------------------------
 // Inference.
 // ---------------------------------------------------------------------
@@ -114,7 +105,23 @@ Program Parse(const std::string& src) {
   return std::move(p).value();
 }
 
-EdbSeeds SeedsOf(const Database& db) { return SeedsFromDatabase(db); }
+/// Exact seeds of every predicate `db` holds facts for; the closed-world
+/// analysis treats the rest as empty, as evaluation over `db` does.
+EdbSeeds SeedsOf(const Database& db) {
+  EdbSeeds seeds;
+  for (const std::string& pred : db.Predicates()) {
+    const std::vector<Tuple> facts = db.facts(pred);
+    if (facts.empty()) continue;
+    std::vector<PosFacts>& positions = seeds[pred].positions;
+    positions.assign(facts.front().size(), PosFacts::Bottom());
+    for (const Tuple& t : facts) {
+      for (size_t i = 0; i < t.size(); ++i) {
+        positions[i] = positions[i].Join(PosFacts::FromValue(t.at(i)));
+      }
+    }
+  }
+  return seeds;
+}
 
 TEST(DataflowTest, InfersTypesAndConstantsFromSeeds) {
   Database db;
@@ -131,7 +138,6 @@ TEST(DataflowTest, InfersTypesAndConstantsFromSeeds) {
   EXPECT_TRUE(p.positions[0].consts.Contains(Value::Int(1)));
   EXPECT_TRUE(p.positions[0].consts.Contains(Value::Int(2)));
   EXPECT_FALSE(p.positions[0].consts.Contains(Value::Int(3)));
-  EXPECT_EQ(p.cardinality, 2u);
   EXPECT_TRUE(p.possibly_nonempty);
 }
 
@@ -145,11 +151,14 @@ TEST(DataflowTest, RecursionReachesFixpointWithDomainBound) {
       "tc(X, Y) :- tc(X, Z), edge(Z, Y).");
   DataflowResult df = AnalyzeDataflow(program, SeedsOf(db));
   const PredicateFacts& tc = df.predicates.at("tc");
-  // Recursive predicate over a finite constant domain: cardinality is
-  // bounded by the position-domain product, not unbounded.
-  EXPECT_NE(tc.cardinality, kCardUnbounded);
-  EXPECT_GE(tc.cardinality, 4u);   // at least the seed rule's bound
-  EXPECT_LE(tc.cardinality, 5u * 5u);
+  // Recursive predicate over a finite constant domain: the fixpoint
+  // keeps each position's const set within the nodes, not ⊤.
+  for (const PosFacts& pos : tc.positions) {
+    ASSERT_FALSE(pos.consts.is_top());
+    EXPECT_LE(pos.consts.size(), 5u);
+  }
+  EXPECT_TRUE(tc.positions[0].consts.Contains(Value::Int(0)));
+  EXPECT_TRUE(tc.positions[1].consts.Contains(Value::Int(4)));
   EXPECT_TRUE(tc.positions[0].types.NumericOnly());
 }
 
@@ -164,7 +173,6 @@ TEST(DataflowTest, RecursiveArithmeticWidensToUnbounded) {
   // Widening must terminate the fixpoint; the interval becomes [0, inf).
   EXPECT_TRUE(c.positions[0].range.Contains(1e18));
   EXPECT_FALSE(c.positions[0].range.Contains(-1));
-  EXPECT_EQ(c.cardinality, kCardUnbounded);
 }
 
 TEST(DataflowTest, ComparisonRefinementNarrowsIntervals) {
@@ -291,7 +299,7 @@ TEST(DataflowFindingsTest, EmptinessProofsAreSoundOnRandomPrograms) {
     DataflowOptions closed;
     closed.assume_unknown_nonempty = false;
     DataflowResult df =
-        AnalyzeDataflow(program.value(), SeedsFromDatabase(edb), closed);
+        AnalyzeDataflow(program.value(), SeedsOf(edb), closed);
 
     Database db = edb;
     Evaluator eval(program.value(), EvalOptions{});
@@ -302,10 +310,6 @@ TEST(DataflowFindingsTest, EmptinessProofsAreSoundOnRandomPrograms) {
       if (!facts.possibly_nonempty) {
         EXPECT_TRUE(db.facts(pred).empty())
             << pred << " proven empty but has facts";
-      }
-      if (facts.cardinality != kCardUnbounded) {
-        EXPECT_LE(db.facts(pred).size(), facts.cardinality)
-            << pred << " exceeds its static cardinality bound";
       }
     }
   }

@@ -14,11 +14,11 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "datalog/database.h"
 #include "datalog/evaluator.h"
 #include "datalog/goal_rewrite.h"
 #include "datalog/parser.h"
 #include "datalog_random_program.h"
+#include "kb/database.h"
 
 namespace vada::datalog {
 namespace {

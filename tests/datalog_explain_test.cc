@@ -8,10 +8,10 @@
 #include <utility>
 #include <vector>
 
-#include "datalog/database.h"
 #include "datalog/evaluator.h"
 #include "datalog/explain.h"
 #include "datalog/parser.h"
+#include "kb/database.h"
 #include "kb/relation.h"
 #include "kb/schema.h"
 #include "obs/json.h"

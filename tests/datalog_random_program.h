@@ -16,8 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "datalog/database.h"
 #include "datalog/evaluator.h"
+#include "kb/database.h"
 
 namespace vada::datalog {
 

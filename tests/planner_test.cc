@@ -10,10 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "datalog/database.h"
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
-#include "datalog/snapshot_cache.h"
+#include "kb/database.h"
 #include "kb/knowledge_base.h"
 #include "kb/write_guard.h"
 
@@ -215,7 +214,13 @@ TEST(BoundIndexTest, CopyDoesNotShareIndexes) {
 }
 
 TEST(BoundIndexTest, BorrowersShareTheSnapshotsIndexUntilCowDetach) {
-  auto snapshot = std::make_shared<Database>(ChainDb("e", 6));
+  KnowledgeBase kb;
+  ASSERT_TRUE(kb.CreateRelation(Schema::Untyped("e", {"a", "b"})).ok());
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(kb.Assert("e", {Value::Int(i), Value::Int(i + 1)}).ok());
+  }
+  std::shared_ptr<const Database> snapshot = kb.Snapshot("e");
+  ASSERT_NE(snapshot, nullptr);
 
   Database borrower_a;
   borrower_a.AttachShared(snapshot);
@@ -241,6 +246,8 @@ TEST(BoundIndexTest, BorrowersShareTheSnapshotsIndexUntilCowDetach) {
   EXPECT_EQ(detached->buckets.count(IdKey({Value::Int(50)})), 1u);
   EXPECT_EQ(via_a->buckets.count(IdKey({Value::Int(50)})), 0u);
   EXPECT_EQ(borrower_b.EnsureBoundIndex("e", {0}, &built), via_a);
+  // The KB still hands out the snapshot the borrowers share.
+  EXPECT_EQ(kb.Snapshot("e").get(), snapshot.get());
 }
 
 TEST(BoundIndexTest, WriteGuardRollbackYieldsConsistentSnapshotIndexes) {
@@ -249,8 +256,7 @@ TEST(BoundIndexTest, WriteGuardRollbackYieldsConsistentSnapshotIndexes) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(kb.Assert("r", {Value::Int(i), Value::Int(i + 1)}).ok());
   }
-  SnapshotCache cache;
-  std::shared_ptr<const Database> before = cache.Get(kb, "r");
+  std::shared_ptr<const Database> before = kb.Snapshot("r");
   ASSERT_NE(before, nullptr);
   size_t built = 0;
   const BoundIndex* index_before = before->EnsureBoundIndex("r", {0}, &built);
@@ -262,12 +268,11 @@ TEST(BoundIndexTest, WriteGuardRollbackYieldsConsistentSnapshotIndexes) {
     guard.Rollback();
   }
 
-  // Rollback restores the relation's version, so the re-fetched snapshot
-  // is the pre-write one, and the index built on it never sees the
-  // aborted write.
-  std::shared_ptr<const Database> after = cache.Get(kb, "r");
+  // Rollback drops the relation's snapshot, so the re-fetched one is
+  // rebuilt from the restored rows, and the index built on it never sees
+  // the aborted write.
+  std::shared_ptr<const Database> after = kb.Snapshot("r");
   ASSERT_NE(after, nullptr);
-  EXPECT_EQ(after.get(), before.get());
   EXPECT_EQ(after->FactCount("r"), 5u);
   const BoundIndex* index_after = after->EnsureBoundIndex("r", {0}, &built);
   ASSERT_NE(index_after, nullptr);

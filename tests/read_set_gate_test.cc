@@ -43,6 +43,7 @@ TEST(ReadLogTest, EachReadAccessorLogsTheRelation) {
   const std::vector<std::pair<std::string, std::function<void()>>> reads = {
       {"FindRelation", [&] { (void)kb.FindRelation("a"); }},
       {"GetRelation", [&] { (void)kb.GetRelation("a"); }},
+      {"Snapshot", [&] { (void)kb.Snapshot("a"); }},
       {"HasRelation", [&] { (void)kb.HasRelation("a"); }},
       {"relation_version", [&] { (void)kb.relation_version("a"); }},
       {"NoteRead", [&] { kb.NoteRead("a"); }},

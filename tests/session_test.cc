@@ -265,10 +265,9 @@ TEST_F(SessionTest, MetricsReportExposesOrchestrationMetrics) {
                    static_cast<double>(stats.dependency_checks));
   EXPECT_DOUBLE_EQ(report.snapshot.Value("vada_session_runs"), 1.0);
   EXPECT_GT(report.snapshot.Value("vada_kb_relations"), 0.0);
-  // Composite join indexes live on the mapping-source snapshots, which
-  // every default session keeps; the gauge reports exactly that cache.
-  const size_t index_bytes =
-      session.state().mapping_source_cache.ApproxIndexBytes();
+  // Composite join indexes live on the KB's relation snapshots, which
+  // mapping execution borrows; the gauge reports exactly their sum.
+  const size_t index_bytes = session.kb().SnapshotIndexBytes();
   EXPECT_GT(index_bytes, 0u);
   EXPECT_DOUBLE_EQ(report.snapshot.Value("vada_index_bytes"),
                    static_cast<double>(index_bytes));

@@ -3,7 +3,7 @@
 // round-trips over seeded random values, id stability across snapshot
 // borrowing and KB write-guard rollback, and concurrent Intern/value()
 // (the TSan job runs this file to certify the chunked wait-free reads).
-#include "datalog/symbol_table.h"
+#include "kb/symbol_table.h"
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "datalog/database.h"
+#include "kb/database.h"
 #include "kb/knowledge_base.h"
 #include "kb/write_guard.h"
 

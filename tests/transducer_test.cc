@@ -223,11 +223,10 @@ TEST(NetworkTest, TransducerErrorSurfacesWithName) {
                         return Status::Internal("boom");
                       }))
                   .ok());
-  // Default fault tolerance degrades gracefully; opt into fail-fast to
-  // check that errors still surface with the transducer's name.
+  // Default fault tolerance degrades gracefully; switch it off to check
+  // that errors still surface with the transducer's name.
   OrchestratorOptions options;
-  options.failure_policy.max_attempts = 1;
-  options.failure_policy.on_failure_exhausted = FailureAction::kAbort;
+  options.failure_policy.enabled = false;
   NetworkTransducer orchestrator(&registry, std::make_unique<FifoPolicy>(),
                                  options);
   Status s = orchestrator.Run(&kb);
@@ -245,7 +244,7 @@ TEST(NetworkTest, BadDependencySyntaxSurfaces) {
                       [](KnowledgeBase*) { return Status::OK(); }))
                   .ok());
   OrchestratorOptions options;
-  options.failure_policy.on_failure_exhausted = FailureAction::kAbort;
+  options.failure_policy.enabled = false;
   NetworkTransducer orchestrator(&registry, std::make_unique<FifoPolicy>(),
                                  options);
   Status s = orchestrator.Run(&kb);

@@ -20,12 +20,12 @@
 #include <utility>
 #include <vector>
 
-#include "datalog/database.h"
 #include "datalog/evaluator.h"
 #include "datalog/explain.h"
 #include "datalog/goal_rewrite.h"
 #include "datalog/parser.h"
 #include "kb/csv.h"
+#include "kb/database.h"
 
 namespace {
 
