@@ -1,15 +1,16 @@
-// Experiment E9 — cost of fault tolerance (DESIGN.md §5d): what do the
-// write-guard, retry machinery and failure bookkeeping cost on the
-// fault-free path, and how fast does a wrangle converge when faults are
-// actually injected?
+// Experiment F1 — fault tolerance under injected faults (DESIGN.md §5d):
+// what does a wrangle cost when every Execute() runs under a write-guard
+// with retries, and does it still converge to the fault-free result when
+// faults are actually injected?
 //
-// Three configurations over the same scenario:
-//   1. seed path      — FailurePolicy disabled: no guard, fail-fast
-//                       (the pre-fault-tolerance orchestrator);
-//   2. guarded        — fault tolerance on, zero faults: the pure
-//                       overhead of guarding every Execute();
-//   3. under faults   — seeded FaultInjector schedules: convergence time
-//                       and retry/rollback volume to the same result.
+// Two configurations over the same scenario:
+//   1. guarded, fault-free — the one orchestration loop with no faults:
+//                            the reference result and its wall time;
+//   2. injected faults     — seeded FaultInjector schedules: convergence
+//                            time and retry/rollback volume to the same
+//                            result.
+// Exits 1 unless every schedule reaches the fault-free result row for
+// row.
 #include "bench/bench_util.h"
 #include "transducer/fault_injection.h"
 #include "wrangler/session.h"
@@ -18,7 +19,7 @@ int main() {
   using namespace vada;
   using namespace vada::bench;
 
-  std::printf("E9: fault-tolerance overhead and convergence under faults\n\n");
+  std::printf("F1: fault-tolerant orchestration under injected faults\n\n");
 
   Scenario sc = MakeScenario(11, 200, 30);
   std::vector<Relation> sources = {sc.rightmove, sc.onthemarket,
@@ -37,45 +38,43 @@ int main() {
     return s;
   };
 
-  // --- 1. Seed path: fault tolerance disabled entirely. ---
-  WranglerConfig seed_config;
-  seed_config.obs.enabled = false;
-  seed_config.fault_tolerance.enabled = false;
-  WranglingSession seed_session(seed_config);
-  Status s = bootstrap(&seed_session);
-  OrchestrationStats seed_stats;
-  double seed_ms = TimeMs([&] {
-    if (s.ok()) s = seed_session.Run(&seed_stats);
-  });
-  if (!s.ok()) {
-    std::fprintf(stderr, "seed-path run failed: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  size_t baseline_rows = seed_session.result()->size();
-
-  // --- 2. Guarded path, fault-free: pure write-guard/retry overhead. ---
-  WranglerConfig guarded_config;
-  guarded_config.obs.enabled = false;
-  WranglingSession guarded_session(guarded_config);
-  s = bootstrap(&guarded_session);
+  // --- 1. Guarded, fault-free: the reference result and its time. ---
+  constexpr size_t kReps = 10;
+  Status failed;
   OrchestrationStats guarded_stats;
-  double guarded_ms = TimeMs([&] {
-    if (s.ok()) s = guarded_session.Run(&guarded_stats);
+  std::vector<Tuple> expected_rows;
+  Measurement guarded = Measure(kReps, 1, [&] {
+    WranglerConfig config;
+    config.obs.enabled = false;
+    WranglingSession session(config);
+    Status s = bootstrap(&session);
+    OrchestrationStats stats;
+    double ms = TimeMs([&] {
+      if (s.ok()) s = session.Run(&stats);
+    });
+    if (!s.ok()) {
+      failed = s;
+    } else {
+      guarded_stats = stats;
+      expected_rows = session.result()->rows();
+    }
+    return ms;
   });
-  if (!s.ok()) {
-    std::fprintf(stderr, "guarded run failed: %s\n", s.ToString().c_str());
+  if (!failed.ok()) {
+    std::fprintf(stderr, "guarded run failed: %s\n",
+                 failed.ToString().c_str());
     return 1;
   }
 
-  // --- 3. Under injected faults: convergence to the same result. ---
+  // --- 2. Under injected faults: convergence to the same result. ---
   constexpr uint64_t kSchedules = 10;
-  double faulted_total_ms = 0.0;
+  uint64_t seed = 0;
   size_t faulted_retries = 0;
   size_t faulted_rollbacks = 0;
   size_t converged = 0;
-  for (uint64_t seed = 1; seed <= kSchedules; ++seed) {
+  Measurement faulted = Measure(kSchedules, 0, [&] {
     FaultInjector::Options fopt;
-    fopt.seed = seed;
+    fopt.seed = ++seed;
     fopt.fault_rate = 0.5;
     fopt.max_failures = 2;
     FaultInjector injector(fopt);
@@ -85,68 +84,74 @@ int main() {
     config.fault_tolerance.sleep_ms = [](double) {};  // time work, not sleep
     config.transducer_decorator = injector.Decorator();
     WranglingSession session(config);
-    s = bootstrap(&session);
+    Status s = bootstrap(&session);
     OrchestrationStats stats;
-    faulted_total_ms += TimeMs([&] {
+    double ms = TimeMs([&] {
       if (s.ok()) s = session.Run(&stats);
     });
     if (!s.ok()) {
       std::fprintf(stderr, "faulted run (seed %llu) failed: %s\n",
                    static_cast<unsigned long long>(seed),
                    s.ToString().c_str());
-      return 1;
+      return ms;
     }
     faulted_retries += stats.retries;
     faulted_rollbacks += stats.rollbacks;
-    if (session.result()->size() == baseline_rows) ++converged;
-  }
-  double faulted_ms = faulted_total_ms / kSchedules;
+    if (session.result()->rows() == expected_rows) ++converged;
+    return ms;
+  });
 
-  double overhead_pct =
-      seed_ms > 0 ? (guarded_ms / seed_ms - 1.0) * 100.0 : 0.0;
   double fault_slowdown_pct =
-      guarded_ms > 0 ? (faulted_ms / guarded_ms - 1.0) * 100.0 : 0.0;
+      guarded.median > 0 ? (faulted.median / guarded.median - 1.0) * 100.0
+                         : 0.0;
 
-  Table table({"configuration", "steps", "retries", "rollbacks", "wall ms",
-               "vs previous"});
-  table.AddRow({"seed path (no guard, fail-fast)",
-                std::to_string(seed_stats.steps), "0", "0", Fmt(seed_ms, 1),
-                "-"});
-  table.AddRow({"guarded, fault-free", std::to_string(guarded_stats.steps),
+  Table table({"configuration", "steps", "retries", "rollbacks",
+               "wall ms median [p10, p90]", "vs guarded (medians)"});
+  table.AddRow({"guarded, fault-free (" + std::to_string(kReps) + " reps)",
+                std::to_string(guarded_stats.steps),
                 std::to_string(guarded_stats.retries),
-                std::to_string(guarded_stats.rollbacks), Fmt(guarded_ms, 1),
-                Fmt(overhead_pct, 1) + "% overhead"});
-  table.AddRow({"guarded, injected faults (avg of " +
-                    std::to_string(kSchedules) + ")",
+                std::to_string(guarded_stats.rollbacks),
+                FmtSpread(guarded, 1), "-"});
+  table.AddRow({"injected faults (" + std::to_string(kSchedules) +
+                    " schedules)",
                 "-", std::to_string(faulted_retries),
-                std::to_string(faulted_rollbacks), Fmt(faulted_ms, 1),
+                std::to_string(faulted_rollbacks), FmtSpread(faulted, 1),
                 Fmt(fault_slowdown_pct, 1) + "% slower"});
   table.Print();
 
   std::printf("\nconvergence: %zu/%llu fault schedules reached the "
               "fault-free result (%zu rows)\n",
               converged, static_cast<unsigned long long>(kSchedules),
-              baseline_rows);
+              expected_rows.size());
 
   BenchReport report("orchestration_faults");
-  report.Add("seed_path_ms", seed_ms);
-  report.Add("guarded_ms", guarded_ms);
-  report.Add("guard_overhead_pct", overhead_pct);
-  report.Add("faulted_avg_ms", faulted_ms);
+  report.Add("guarded_ms", guarded.median);
+  report.Add("guarded_ms_p10", guarded.p10);
+  report.Add("guarded_ms_p90", guarded.p90);
+  report.Add("faulted_ms", faulted.median);
+  report.Add("faulted_ms_p10", faulted.p10);
+  report.Add("faulted_ms_p90", faulted.p90);
   report.Add("fault_slowdown_pct", fault_slowdown_pct);
   report.Add("faulted_retries", static_cast<double>(faulted_retries));
   report.Add("faulted_rollbacks", static_cast<double>(faulted_rollbacks));
   report.Add("converged_schedules", static_cast<double>(converged));
   report.Add("fault_schedules", static_cast<double>(kSchedules));
-  report.Add("baseline_rows", static_cast<double>(baseline_rows));
+  report.Add("baseline_rows", static_cast<double>(expected_rows.size()));
   report.WriteJson();
 
   std::printf(
       "\nnotes:\n"
-      "  * the guard is copy-on-write per touched relation, so fault-free\n"
-      "    overhead is the snapshot cost of relations each step mutates;\n"
+      "  * the guard is copy-on-write per touched relation, so the\n"
+      "    fault-free cost is the snapshot cost of relations each step\n"
+      "    mutates;\n"
       "  * injected runs converge to the identical result because faults\n"
       "    are transient, rollback is exact, and the pipeline is\n"
       "    deterministic (see tests/fault_injection_soak_test.cc).\n");
+  if (converged != kSchedules) {
+    std::fprintf(stderr, "FAIL: %zu of %llu schedules diverged\n",
+                 static_cast<size_t>(kSchedules) - converged,
+                 static_cast<unsigned long long>(kSchedules));
+    return 1;
+  }
   return 0;
 }

@@ -14,12 +14,6 @@ namespace vada::datalog::analysis {
 
 namespace {
 
-/// Best available anchor: the term's own position, else a fallback
-/// (enclosing literal / rule head), else unknown.
-SourcePos Anchor(const SourcePos& preferred, const SourcePos& fallback) {
-  return preferred.known() ? preferred : fallback;
-}
-
 /// One analysis pass over one program. Collects diagnostics into the
 /// report; each Check* method is independent and total (never bails).
 class Checker {
@@ -35,10 +29,10 @@ class Checker {
 
   void Run() {
     if (options_.check_safety) CheckSafety();
-    if (options_.check_stratification) CheckStratification();
-    if (options_.check_wardedness) CheckWardedness();
-    if (options_.check_catalog) CheckCatalog();
-    if (options_.check_dataflow) CheckDataflow();
+    CheckStratification();
+    CheckWardedness();
+    CheckCatalog();
+    CheckDataflow();
     if (options_.check_lint) CheckLint();
     if (!options_.goal_predicate.empty()) CheckGoal();
   }
@@ -56,141 +50,14 @@ class Checker {
     report_->diagnostics.push_back(std::move(d));
   }
 
-  /// Variables bound by positive atoms, then transitively by assignments
-  /// whose operands are bound (the range-restriction fixpoint shared
-  /// with ValidateRule).
-  static std::set<std::string> BoundVariables(const Rule& rule) {
-    std::set<std::string> bound;
-    for (const Literal& lit : rule.body) {
-      if (lit.kind != Literal::Kind::kAtom) continue;
-      for (const Term& t : lit.atom.terms) {
-        if (t.is_variable()) bound.insert(t.var());
-      }
-    }
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (const Literal& lit : rule.body) {
-        if (lit.kind != Literal::Kind::kAssignment) continue;
-        if (bound.count(lit.assign_var) > 0) continue;
-        bool operands_ok =
-            (!lit.lhs.is_variable() || bound.count(lit.lhs.var()) > 0) &&
-            (lit.arith_op == ArithOp::kNone || !lit.rhs.is_variable() ||
-             bound.count(lit.rhs.var()) > 0);
-        if (operands_ok) {
-          bound.insert(lit.assign_var);
-          changed = true;
-        }
-      }
-    }
-    return bound;
-  }
-
   // -------------------------------------------------------------------
   // (1) Safety / range restriction.
   // -------------------------------------------------------------------
   void CheckSafety() {
     for (size_t ri = 0; ri < program_.rules.size(); ++ri) {
-      const Rule& rule = program_.rules[ri];
-      const int rule_index = static_cast<int>(ri);
-
-      // Aggregates are head-only.
-      for (const Literal& lit : rule.body) {
-        if (lit.kind == Literal::Kind::kAtom ||
-            lit.kind == Literal::Kind::kNegatedAtom) {
-          for (const Term& t : lit.atom.terms) {
-            if (t.is_aggregate()) {
-              Emit(Severity::kError, "safety/aggregate-in-body", rule_index,
-                   Anchor(t.pos(), lit.pos),
-                   "aggregate term " + t.ToString() +
-                       " in rule body; aggregates may only appear in heads",
-                   "move the aggregation into the head of a helper rule");
-            }
-          }
-        } else if (lit.lhs.is_aggregate() || lit.rhs.is_aggregate()) {
-          Emit(Severity::kError, "safety/aggregate-in-body", rule_index,
-               lit.pos, "aggregate term in builtin of rule " + rule.ToString(),
-               "move the aggregation into the head of a helper rule");
-        }
-      }
-
-      // Facts must be ground; the per-variable head check below would be
-      // redundant noise on top of that.
-      if (rule.IsFact()) {
-        for (const Term& t : rule.head.terms) {
-          if (!t.is_constant()) {
-            Emit(Severity::kError, "safety/nonground-fact", rule_index,
-                 Anchor(t.pos(), rule.pos),
-                 "fact " + rule.ToString() + " has non-constant term " +
-                     t.ToString(),
-                 "facts must list constants only; add a body to make this a "
-                 "rule");
-          }
-        }
-        continue;
-      }
-
-      const std::set<std::string> bound = BoundVariables(rule);
-      auto unbound = [&bound](const Term& t) {
-        return t.is_variable() && bound.count(t.var()) == 0;
-      };
-
-      for (const Term& t : rule.head.terms) {
-        if ((t.is_variable() || t.is_aggregate()) &&
-            bound.count(t.var()) == 0) {
-          Emit(Severity::kError, "safety/unbound-head-variable", rule_index,
-               Anchor(t.pos(), rule.pos),
-               "head variable " + t.var() +
-                   " is not bound by a positive body atom",
-               "add a positive body atom (or an assignment from bound "
-               "variables) binding " +
-                   t.var());
-        }
-      }
-      for (const Literal& lit : rule.body) {
-        switch (lit.kind) {
-          case Literal::Kind::kNegatedAtom:
-            for (const Term& t : lit.atom.terms) {
-              if (unbound(t)) {
-                Emit(Severity::kError, "safety/unbound-negated-variable",
-                     rule_index, Anchor(t.pos(), lit.pos),
-                     "variable " + t.var() + " in negated atom not " +
-                         lit.atom.predicate +
-                         "(...) is not bound by a positive body atom",
-                     "bind " + t.var() +
-                         " positively before negating over it (negation is "
-                         "safe only on bound variables)");
-              }
-            }
-            break;
-          case Literal::Kind::kComparison:
-            for (const Term* t : {&lit.lhs, &lit.rhs}) {
-              if (unbound(*t)) {
-                Emit(Severity::kError, "safety/unbound-comparison-variable",
-                     rule_index, Anchor(t->pos(), lit.pos),
-                     "variable " + t->var() + " in comparison " +
-                         lit.ToString() +
-                         " is not bound by a positive body atom",
-                     "bind " + t->var() + " in a positive body atom");
-              }
-            }
-            break;
-          case Literal::Kind::kAssignment:
-            for (const Term* t : {&lit.lhs, &lit.rhs}) {
-              if (t == &lit.rhs && lit.arith_op == ArithOp::kNone) continue;
-              if (unbound(*t)) {
-                Emit(Severity::kError, "safety/unbound-assignment-operand",
-                     rule_index, Anchor(t->pos(), lit.pos),
-                     "operand " + t->var() + " of assignment " +
-                         lit.ToString() +
-                         " is not bound by a positive body atom",
-                     "bind " + t->var() + " before using it in arithmetic");
-              }
-            }
-            break;
-          case Literal::Kind::kAtom:
-            break;
-        }
+      for (SafetyViolation& v : SafetyViolations(program_.rules[ri])) {
+        Emit(Severity::kError, std::move(v.check_id), static_cast<int>(ri),
+             v.pos, std::move(v.message), std::move(v.fix_hint));
       }
     }
   }

@@ -16,20 +16,17 @@ namespace vada::datalog::analysis {
 /// later) want kIgnore or kWarn; a closed catalog can afford kError.
 enum class UnknownPredicatePolicy { kIgnore = 0, kWarn, kError };
 
-/// Which checks ProgramAnalyzer runs and how strict they are. All check
-/// families default on; disable individually for targeted tooling.
+/// Which optional checks ProgramAnalyzer runs and how strict they are.
+/// Stratification, wardedness, catalog (when a catalog is given) and
+/// dataflow checks always run. The dataflow/* family is abstract
+/// interpretation over type/constant/interval lattices
+/// (datalog/analysis/dataflow): position type clashes, provably-empty
+/// rules, contradictory comparison chains and unsatisfiable guards.
+/// Open-world: predicates outside the catalog are assumed to possibly
+/// hold anything, so every finding is a proof.
 struct AnalyzerOptions {
   bool check_safety = true;          ///< safety/* (range restriction)
-  bool check_stratification = true;  ///< stratification/negative-cycle
-  bool check_wardedness = true;      ///< wardedness/* + classification
-  bool check_catalog = true;         ///< catalog/* (arity, types, unknown)
   bool check_lint = true;            ///< lint/* (style & dead code)
-  /// dataflow/* — abstract interpretation over type/constant/interval
-  /// lattices (datalog/analysis/dataflow): position type clashes,
-  /// provably-empty rules, contradictory comparison chains and
-  /// unsatisfiable guards. Open-world: predicates outside the catalog
-  /// are assumed to possibly hold anything, so every finding is a proof.
-  bool check_dataflow = true;
 
   /// When non-empty the program is expected to define this predicate
   /// (goal/undefined error otherwise) and rules that cannot contribute

@@ -109,14 +109,16 @@ class Analysis {
   DataflowResult Run() {
     Initialize();
     // Kleene iteration from ⊥. Types and const sets are finite lattices
-    // and intervals widen after `widen_after` rounds, so this converges;
-    // the round cap is a defensive valve, with a forced-⊤ fallback that
-    // keeps the result sound even if it ever fires.
+    // and intervals widen to ±inf after `kWidenAfter` rounds (the only
+    // termination knob), so this converges; the round cap is a defensive
+    // valve, with a forced-⊤ fallback that keeps the result sound even if
+    // it ever fires.
+    constexpr size_t kWidenAfter = 4;
     const size_t max_rounds = 16 + 4 * program_.rules.size();
     bool converged = false;
     for (size_t round = 0; round < max_rounds; ++round) {
       changed_ = false;
-      widen_ = round >= options_.widen_after;
+      widen_ = round >= kWidenAfter;
       for (const Rule& rule : program_.rules) {
         EvalRule(rule, /*findings=*/nullptr);
       }

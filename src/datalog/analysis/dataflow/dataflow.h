@@ -30,9 +30,6 @@ struct DataflowOptions {
   /// possibly hold any facts (⊤). Closed world (analysis over a real
   /// database): such predicates are provably empty.
   bool assume_unknown_nonempty = true;
-  /// Fixpoint rounds before intervals widen to ±inf. The other domains
-  /// are finite, so this is the only termination knob.
-  size_t widen_after = 4;
 };
 
 /// Why a rule can provably never derive a fact (or violates typing).

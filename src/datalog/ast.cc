@@ -201,36 +201,16 @@ std::vector<std::string> Program::HeadPredicates() const {
   return out;
 }
 
-Status ValidateRule(const Rule& rule) {
-  if (rule.head.predicate.empty()) {
-    return Status::InvalidArgument("rule has empty head predicate");
-  }
-  // Aggregates may appear only in heads; body terms must not be aggregates.
-  for (const Literal& lit : rule.body) {
-    if (lit.kind == Literal::Kind::kAtom ||
-        lit.kind == Literal::Kind::kNegatedAtom) {
-      for (const Term& t : lit.atom.terms) {
-        if (t.is_aggregate()) {
-          return Status::InvalidArgument("aggregate term in body of rule " +
-                                         rule.ToString());
-        }
-      }
-    } else {
-      if (lit.lhs.is_aggregate() || lit.rhs.is_aggregate()) {
-        return Status::InvalidArgument("aggregate term in builtin of rule " +
-                                       rule.ToString());
-      }
-    }
-  }
+namespace {
 
-  // Compute the set of variables bindable by positive atoms and then by
-  // assignments whose operands become bound (fixpoint).
+/// Variables bound by positive atoms, then transitively by assignments
+/// whose operands are bound (the range-restriction fixpoint).
+std::set<std::string> BoundVariables(const Rule& rule) {
   std::set<std::string> bound;
   for (const Literal& lit : rule.body) {
-    if (lit.kind == Literal::Kind::kAtom) {
-      for (const Term& t : lit.atom.terms) {
-        if (t.is_variable()) bound.insert(t.var());
-      }
+    if (lit.kind != Literal::Kind::kAtom) continue;
+    for (const Term& t : lit.atom.terms) {
+      if (t.is_variable()) bound.insert(t.var());
     }
   }
   bool changed = true;
@@ -239,68 +219,129 @@ Status ValidateRule(const Rule& rule) {
     for (const Literal& lit : rule.body) {
       if (lit.kind != Literal::Kind::kAssignment) continue;
       if (bound.count(lit.assign_var) > 0) continue;
-      bool operands_ok = (!lit.lhs.is_variable() || bound.count(lit.lhs.var())) &&
-                         (lit.arith_op == ArithOp::kNone ||
-                          !lit.rhs.is_variable() || bound.count(lit.rhs.var()));
+      bool operands_ok =
+          (!lit.lhs.is_variable() || bound.count(lit.lhs.var()) > 0) &&
+          (lit.arith_op == ArithOp::kNone || !lit.rhs.is_variable() ||
+           bound.count(lit.rhs.var()) > 0);
       if (operands_ok) {
         bound.insert(lit.assign_var);
         changed = true;
       }
     }
   }
+  return bound;
+}
 
-  auto require_bound = [&bound, &rule](const Term& t,
-                                       const char* where) -> Status {
-    if (t.is_variable() && bound.count(t.var()) == 0) {
-      return Status::InvalidArgument("unsafe rule (" + rule.ToString() +
-                                     "): variable " + t.var() + " in " + where +
-                                     " is not bound by a positive atom");
-    }
-    return Status::OK();
+}  // namespace
+
+std::vector<SafetyViolation> SafetyViolations(const Rule& rule) {
+  std::vector<SafetyViolation> out;
+  auto emit = [&out](const char* check_id, SourcePos pos, std::string message,
+                     std::string fix_hint) {
+    out.push_back(SafetyViolation{check_id, pos, std::move(message),
+                                  std::move(fix_hint)});
   };
 
-  for (const Term& t : rule.head.terms) {
-    if (t.is_aggregate() || t.is_variable()) {
-      const std::string& v = t.var();
-      if (!t.is_constant() && bound.count(v) == 0) {
-        return Status::InvalidArgument("unsafe rule (" + rule.ToString() +
-                                       "): head variable " + v +
-                                       " is not bound by a positive atom");
+  // Aggregates are head-only.
+  for (const Literal& lit : rule.body) {
+    if (lit.kind == Literal::Kind::kAtom ||
+        lit.kind == Literal::Kind::kNegatedAtom) {
+      for (const Term& t : lit.atom.terms) {
+        if (t.is_aggregate()) {
+          emit("safety/aggregate-in-body", Anchor(t.pos(), lit.pos),
+               "aggregate term " + t.ToString() +
+                   " in rule body; aggregates may only appear in heads",
+               "move the aggregation into the head of a helper rule");
+        }
       }
+    } else if (lit.lhs.is_aggregate() || lit.rhs.is_aggregate()) {
+      emit("safety/aggregate-in-body", lit.pos,
+           "aggregate term in builtin of rule " + rule.ToString(),
+           "move the aggregation into the head of a helper rule");
+    }
+  }
+
+  // Facts must be ground; the per-variable head check below would be
+  // redundant noise on top of that.
+  if (rule.IsFact()) {
+    for (const Term& t : rule.head.terms) {
+      if (!t.is_constant()) {
+        emit("safety/nonground-fact", Anchor(t.pos(), rule.pos),
+             "fact " + rule.ToString() + " has non-constant term " +
+                 t.ToString(),
+             "facts must list constants only; add a body to make this a "
+             "rule");
+      }
+    }
+    return out;
+  }
+
+  const std::set<std::string> bound = BoundVariables(rule);
+  auto unbound = [&bound](const Term& t) {
+    return t.is_variable() && bound.count(t.var()) == 0;
+  };
+  for (const Term& t : rule.head.terms) {
+    if ((t.is_variable() || t.is_aggregate()) && bound.count(t.var()) == 0) {
+      emit("safety/unbound-head-variable", Anchor(t.pos(), rule.pos),
+           "head variable " + t.var() + " is not bound by a positive body atom",
+           "add a positive body atom (or an assignment from bound "
+           "variables) binding " +
+               t.var());
     }
   }
   for (const Literal& lit : rule.body) {
     switch (lit.kind) {
       case Literal::Kind::kNegatedAtom:
         for (const Term& t : lit.atom.terms) {
-          VADA_RETURN_IF_ERROR(require_bound(t, "negated atom"));
+          if (unbound(t)) {
+            emit("safety/unbound-negated-variable", Anchor(t.pos(), lit.pos),
+                 "variable " + t.var() + " in negated atom not " +
+                     lit.atom.predicate +
+                     "(...) is not bound by a positive body atom",
+                 "bind " + t.var() +
+                     " positively before negating over it (negation is "
+                     "safe only on bound variables)");
+          }
         }
         break;
       case Literal::Kind::kComparison:
-        VADA_RETURN_IF_ERROR(require_bound(lit.lhs, "comparison"));
-        VADA_RETURN_IF_ERROR(require_bound(lit.rhs, "comparison"));
+        for (const Term* t : {&lit.lhs, &lit.rhs}) {
+          if (unbound(*t)) {
+            emit("safety/unbound-comparison-variable",
+                 Anchor(t->pos(), lit.pos),
+                 "variable " + t->var() + " in comparison " + lit.ToString() +
+                     " is not bound by a positive body atom",
+                 "bind " + t->var() + " in a positive body atom");
+          }
+        }
         break;
       case Literal::Kind::kAssignment:
-        VADA_RETURN_IF_ERROR(require_bound(lit.lhs, "assignment"));
-        if (lit.arith_op != ArithOp::kNone) {
-          VADA_RETURN_IF_ERROR(require_bound(lit.rhs, "assignment"));
+        for (const Term* t : {&lit.lhs, &lit.rhs}) {
+          if (t == &lit.rhs && lit.arith_op == ArithOp::kNone) continue;
+          if (unbound(*t)) {
+            emit("safety/unbound-assignment-operand",
+                 Anchor(t->pos(), lit.pos),
+                 "operand " + t->var() + " of assignment " + lit.ToString() +
+                     " is not bound by a positive body atom",
+                 "bind " + t->var() + " before using it in arithmetic");
+          }
         }
         break;
       case Literal::Kind::kAtom:
         break;
     }
   }
+  return out;
+}
 
-  // A fact must be ground.
-  if (rule.IsFact()) {
-    for (const Term& t : rule.head.terms) {
-      if (!t.is_constant()) {
-        return Status::InvalidArgument("fact " + rule.ToString() +
-                                       " is not ground");
-      }
-    }
+Status ValidateRule(const Rule& rule) {
+  if (rule.head.predicate.empty()) {
+    return Status::InvalidArgument("rule has empty head predicate");
   }
-  return Status::OK();
+  std::vector<SafetyViolation> violations = SafetyViolations(rule);
+  if (violations.empty()) return Status::OK();
+  return Status::InvalidArgument("unsafe rule (" + rule.ToString() +
+                                 "): " + violations.front().message);
 }
 
 Status Program::Validate() const {

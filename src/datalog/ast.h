@@ -22,6 +22,12 @@ struct SourcePos {
   std::string ToString() const;
 };
 
+/// Best available anchor: the preferred position (a term's own), else a
+/// fallback (enclosing literal / rule head), else unknown.
+inline SourcePos Anchor(const SourcePos& preferred, const SourcePos& fallback) {
+  return preferred.known() ? preferred : fallback;
+}
+
 /// Aggregate functions usable in rule heads (Vadalog-style aggregation).
 enum class AggFunc { kCount, kSum, kMin, kMax, kAvg };
 
@@ -142,8 +148,23 @@ struct Program {
   std::string ToString() const;
 };
 
-/// Checks a single rule for safety and aggregate placement; exposed for
-/// targeted testing.
+/// One safety violation of a rule, as the analyzer reports it.
+struct SafetyViolation {
+  std::string check_id;  ///< "safety/..."
+  SourcePos pos;         ///< the offending term, else its literal or rule
+  std::string message;
+  std::string fix_hint;
+};
+
+/// Every safety violation of `rule`: aggregates in the body, non-ground
+/// facts, and (range restriction) variables of the head, negated atoms,
+/// comparisons and assignment operands that no positive body atom binds,
+/// directly or through assignments from bound variables. The one safety
+/// check: ValidateRule reports the first violation, the analyzer all.
+std::vector<SafetyViolation> SafetyViolations(const Rule& rule);
+
+/// Checks a single rule for safety and aggregate placement: the first
+/// of SafetyViolations as InvalidArgument.
 Status ValidateRule(const Rule& rule);
 
 }  // namespace vada::datalog

@@ -424,9 +424,12 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
 
     if (normal_rules.empty()) continue;
 
+    // Hard cap on fixpoint iterations per stratum (safety valve; Datalog
+    // always terminates, so hitting this indicates an engine bug).
+    constexpr size_t kMaxIterations = 1000000;
     if (!options_.semi_naive) {
       // Naive fixpoint: re-evaluate everything until no new facts.
-      for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
+      for (size_t iter = 0; iter < kMaxIterations; ++iter) {
         ++st->iterations;
         bool any_new = false;
         for (size_t ri = 0; ri < normal_rules.size(); ++ri) {
@@ -466,8 +469,9 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
           }
         }
         if (!any_new) break;
-        if (iter + 1 == options_.max_iterations) {
-          return Status::Internal("naive evaluation exceeded max_iterations");
+        if (iter + 1 == kMaxIterations) {
+          return Status::Internal(
+              "naive evaluation exceeded the iteration cap");
         }
       }
       continue;
@@ -541,7 +545,7 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
       run_round(&tasks, nullptr, &delta);
     }
 
-    for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
+    for (size_t iter = 0; iter < kMaxIterations; ++iter) {
       if (delta.TotalFacts() == 0) break;
       ++st->iterations;
       Database next_delta;
@@ -558,8 +562,9 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
       }
       run_round(&tasks, &delta, &next_delta);
       delta = std::move(next_delta);
-      if (iter + 1 == options_.max_iterations && delta.TotalFacts() != 0) {
-        return Status::Internal("semi-naive evaluation exceeded max_iterations");
+      if (iter + 1 == kMaxIterations && delta.TotalFacts() != 0) {
+        return Status::Internal(
+            "semi-naive evaluation exceeded the iteration cap");
       }
     }
   }

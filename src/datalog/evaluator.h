@@ -24,9 +24,6 @@ struct EvalOptions {
   /// rule of a round is evaluated against the round-start database and
   /// results are merged in rule order (DESIGN.md §5e).
   bool semi_naive = true;
-  /// Hard cap on fixpoint iterations per stratum (safety valve; Datalog
-  /// always terminates, so hitting this indicates an engine bug).
-  size_t max_iterations = 1000000;
   /// When set, Run() additionally records vada_datalog_* metrics
   /// (rules fired, facts derived, join probes, per-stratum time) into
   /// this registry. Null: no instrumentation beyond EvalStats.

@@ -31,8 +31,10 @@ std::vector<MatchAttribution> FeedbackPropagator::AttributeItem(
     if (!item.attribute.empty()) {
       affected.push_back(item.attribute);
     } else {
+      // Tuple-level feedback: a fraction of the attribute-level effect.
+      constexpr double kTupleLevelFactor = 0.4;
       affected = mapping.covered_attributes;
-      strength = options_.tuple_level_factor;
+      strength = kTupleLevelFactor;
     }
 
     for (const std::string& attr : affected) {
@@ -71,7 +73,8 @@ FeedbackPropagator::FactorsFrom(
     if (a.polarity == FeedbackPolarity::kIncorrect) {
       f *= 1.0 - options_.penalty * a.strength;
     } else {
-      f *= 1.0 + options_.reinforcement * a.strength;
+      constexpr double kReinforcement = 0.05;
+      f *= 1.0 + kReinforcement * a.strength;
     }
   }
   return factors;

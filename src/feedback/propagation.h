@@ -19,13 +19,11 @@ struct PropagatorOptions {
   /// so that single annotations merely nudge the score while roughly a
   /// dozen corroborating annotations push a strong match (~0.95) below
   /// the mapping generator's default inclusion threshold (0.45) — i.e.
-  /// sustained evidence retires the match, noise does not.
+  /// sustained evidence retires the match, noise does not. A correct
+  /// annotation reinforces by 5% (capped at 1), and tuple-level feedback
+  /// spreads over all covered attributes at 0.4 of the attribute-level
+  /// effect.
   double penalty = 0.06;
-  /// Multiplicative reinforcement per correct annotation (capped at 1).
-  double reinforcement = 0.05;
-  /// Tuple-level feedback spreads over all covered attributes at this
-  /// fraction of the attribute-level effect.
-  double tuple_level_factor = 0.4;
 };
 
 /// One attributed feedback item: the match (identified by source

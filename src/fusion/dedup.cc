@@ -12,6 +12,10 @@ namespace vada {
 
 namespace {
 
+/// Non-null attributes two records must share to be comparable at all
+/// (capped at the relation's arity; see RecordSimilarity).
+constexpr size_t kMinSharedFields = 3;
+
 double ValueSimilarity(const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return 0.0;
   if (a == b) return 1.0;
@@ -53,15 +57,15 @@ double ValueSimilarity(const Value& a, const Value& b) {
 /// Scores are exactly RecordSimilarity's: same branches, same math.
 class PairScorer {
  public:
-  PairScorer(const Relation& rel, const std::vector<size_t>& indexes,
-             size_t required)
-      : indexes_(indexes), required_(required) {
-    features_.resize(rel.size() * indexes.size());
+  explicit PairScorer(const Relation& rel)
+      : arity_(rel.schema().arity()),
+        required_(std::min(kMinSharedFields, arity_)) {
+    features_.resize(rel.size() * arity_);
     for (size_t r = 0; r < rel.size(); ++r) {
       const Tuple& row = rel.rows()[r];
-      for (size_t k = 0; k < indexes.size(); ++k) {
-        CellFeature& f = features_[r * indexes.size() + k];
-        const Value& v = row.at(indexes[k]);
+      for (size_t k = 0; k < arity_; ++k) {
+        CellFeature& f = features_[r * arity_ + k];
+        const Value& v = row.at(k);
         f.value = &v;
         f.is_null = v.is_null();
         if (f.is_null) continue;
@@ -85,11 +89,11 @@ class PairScorer {
   }
 
   double Score(size_t row_a, size_t row_b) const {
-    const CellFeature* fa = &features_[row_a * indexes_.size()];
-    const CellFeature* fb = &features_[row_b * indexes_.size()];
+    const CellFeature* fa = &features_[row_a * arity_];
+    const CellFeature* fb = &features_[row_b * arity_];
     double sum = 0.0;
     size_t counted = 0;
-    for (size_t k = 0; k < indexes_.size(); ++k) {
+    for (size_t k = 0; k < arity_; ++k) {
       const CellFeature& a = fa[k];
       const CellFeature& b = fb[k];
       if (a.is_null || b.is_null) continue;
@@ -162,7 +166,7 @@ class PairScorer {
     return static_cast<double>(inter) / static_cast<double>(uni);
   }
 
-  const std::vector<size_t>& indexes_;
+  size_t arity_;
   size_t required_;
   std::vector<CellFeature> features_;
 };
@@ -195,27 +199,17 @@ double DuplicateDetector::RecordSimilarity(const Relation& rel, size_t row_a,
                                            size_t row_b) const {
   const Tuple& a = rel.rows()[row_a];
   const Tuple& b = rel.rows()[row_b];
-  std::vector<size_t> indexes;
-  if (options_.compare_attributes.empty()) {
-    for (size_t i = 0; i < rel.schema().arity(); ++i) indexes.push_back(i);
-  } else {
-    for (const std::string& attr : options_.compare_attributes) {
-      std::optional<size_t> i = rel.schema().AttributeIndex(attr);
-      if (i.has_value()) indexes.push_back(*i);
-    }
-  }
-  if (indexes.empty()) return 0.0;
+  const size_t arity = rel.schema().arity();
   double sum = 0.0;
   size_t counted = 0;
-  for (size_t i : indexes) {
+  for (size_t i = 0; i < arity; ++i) {
     // A null on either side is absence of evidence, not disagreement —
     // a portal that omitted the crime rank must not veto a duplicate.
     if (a.at(i).is_null() || b.at(i).is_null()) continue;
     sum += ValueSimilarity(a.at(i), b.at(i));
     ++counted;
   }
-  size_t required = std::min(options_.min_shared_fields, indexes.size());
-  if (counted < required) return 0.0;
+  if (counted < std::min(kMinSharedFields, arity)) return 0.0;
   if (counted == 0) return 0.0;
   return sum / static_cast<double>(counted);
 }
@@ -255,32 +249,22 @@ Result<std::vector<DuplicatePair>> DuplicateDetector::FindDuplicates(
     }
   }
 
-  // Resolve the compared attribute set once (RecordSimilarity re-derives
-  // it per pair; block comparison is quadratic, so hoist everything).
-  std::vector<size_t> indexes;
-  if (options_.compare_attributes.empty()) {
-    for (size_t i = 0; i < rel.schema().arity(); ++i) indexes.push_back(i);
-  } else {
-    for (const std::string& attr : options_.compare_attributes) {
-      std::optional<size_t> i = rel.schema().AttributeIndex(attr);
-      if (i.has_value()) indexes.push_back(*i);
-    }
-  }
   std::vector<DuplicatePair> out;
-  if (indexes.empty()) return out;
-  PairScorer scorer(rel, indexes,
-                    std::min(options_.min_shared_fields, indexes.size()));
+  if (rel.schema().arity() == 0) return out;
+  // Defensive on skewed blocks: pairs examined per block.
+  constexpr size_t kMaxPairsPerBlock = 100000;
+  PairScorer scorer(rel);
   for (const auto& [key, rows] : blocks) {
     size_t pairs = 0;
     for (size_t i = 0; i < rows.size(); ++i) {
       for (size_t j = i + 1; j < rows.size(); ++j) {
-        if (++pairs > options_.max_pairs_per_block) break;
+        if (++pairs > kMaxPairsPerBlock) break;
         double sim = scorer.Score(rows[i], rows[j]);
         if (sim >= options_.threshold) {
           out.push_back(DuplicatePair{rows[i], rows[j], sim});
         }
       }
-      if (pairs > options_.max_pairs_per_block) break;
+      if (pairs > kMaxPairsPerBlock) break;
     }
   }
   return out;

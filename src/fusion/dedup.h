@@ -14,16 +14,8 @@ struct DedupOptions {
   /// Attributes used to block candidate pairs (rows compared only within
   /// equal blocking-key groups). Empty = single block (quadratic!).
   std::vector<std::string> blocking_attributes;
-  /// Attributes compared for similarity; empty = every attribute.
-  std::vector<std::string> compare_attributes;
   /// Record-pair similarity threshold for declaring a duplicate.
   double threshold = 0.8;
-  /// Minimum number of attributes where BOTH records are non-null for a
-  /// pair to be comparable at all; sparser pairs never match (a row
-  /// carrying only a postcode must not absorb its whole block).
-  size_t min_shared_fields = 3;
-  /// Hard cap on pairs examined per block (defensive on skewed blocks).
-  size_t max_pairs_per_block = 100000;
 };
 
 /// A detected duplicate pair (row indexes into the relation).
@@ -42,14 +34,18 @@ struct DuplicateClusters {
 
 /// The paper's duplicate-detection functionality ("a data fusion
 /// transducer may start to evaluate when duplicates have been detected",
-/// §2): blocking + field-wise record similarity + union-find clustering.
+/// §2): blocking + field-wise record similarity over every attribute +
+/// union-find clustering. At most 100 000 pairs are examined per block
+/// (defensive on skewed blocks).
 class DuplicateDetector {
  public:
   explicit DuplicateDetector(DedupOptions options = DedupOptions());
 
   /// Record-pair similarity: mean of per-attribute value similarities
-  /// (exact match 1, numeric closeness, string similarity; null-null
-  /// pairs are skipped, null-vs-value scores 0).
+  /// (exact match 1, numeric closeness, string similarity) over the
+  /// attributes where both records are non-null. Pairs sharing fewer than
+  /// 3 such attributes (or every attribute, if the relation has fewer)
+  /// score 0: a row carrying only a postcode must not absorb its block.
   double RecordSimilarity(const Relation& rel, size_t row_a, size_t row_b)
       const;
 

@@ -72,6 +72,9 @@ Result<std::vector<Mapping>> MappingGenerator::Generate(
     const Schema& target, const std::vector<Schema>& sources,
     const std::vector<MatchCandidate>& matches) const {
   VADA_RETURN_IF_ERROR(target.Validate());
+  // Upper bound on generated candidates (defensive; joins are quadratic
+  // in the number of sources).
+  constexpr size_t kMaxCandidates = 200;
 
   // Index correspondences per source relation, keeping the best match per
   // target attribute.
@@ -110,7 +113,7 @@ Result<std::vector<Mapping>> MappingGenerator::Generate(
     m.rule_text = HeadAtom(m.result_predicate, target, covered) + " :- " +
                   SourceAtom(source, it->second, "a") + ".";
     out.push_back(std::move(m));
-    if (out.size() >= options_.max_candidates) return out;
+    if (out.size() >= kMaxCandidates) return out;
   }
 
   if (!options_.generate_joins) return out;
@@ -172,7 +175,7 @@ Result<std::vector<Mapping>> MappingGenerator::Generate(
                     SourceAtom(sources[i], it1->second, "a") + ", " +
                     SourceAtom(sources[j], corr2, "b") + ".";
       out.push_back(std::move(m));
-      if (out.size() >= options_.max_candidates) return out;
+      if (out.size() >= kMaxCandidates) return out;
     }
   }
   return out;

@@ -19,9 +19,6 @@ struct MappingGeneratorOptions {
   /// Also propose two-way join mappings when two sources share a matched
   /// target attribute and complement each other's coverage.
   bool generate_joins = true;
-  /// Upper bound on generated candidates (defensive; joins are quadratic
-  /// in the number of sources).
-  size_t max_candidates = 200;
 };
 
 /// The paper's Mapping Generation transducer (Table 1: depends on

@@ -63,7 +63,10 @@ std::vector<MappingScore> MappingSelector::Score(
         return w;
       }
     }
-    return min_user * options_.unmentioned_weight_factor;
+    // Criteria the user context does not mention still matter, slightly:
+    // a quarter of the smallest user weight.
+    constexpr double kUnmentionedWeightFactor = 0.25;
+    return min_user * kUnmentionedWeightFactor;
   };
 
   std::vector<MappingScore> out;

@@ -28,9 +28,6 @@ struct SelectorOptions {
   double relative_threshold = 0.85;
   /// Hard cap on selected mappings (0 = unbounded).
   size_t max_selected = 0;
-  /// Weight applied to criteria that the user context does not mention
-  /// (they still matter, slightly) relative to the smallest user weight.
-  double unmentioned_weight_factor = 0.25;
 };
 
 /// The paper's Mapping Selection transducer: ranks candidate mappings on

@@ -6,10 +6,10 @@
 namespace vada {
 
 namespace {
-double WeightFor(const CombinerOptions& options, const std::string& matcher) {
-  for (const auto& [name, w] : options.matcher_weights) {
-    if (name == matcher) return w;
-  }
+double WeightFor(const std::string& matcher) {
+  if (matcher == "schema_name") return 1.0;
+  if (matcher == "instance") return 1.2;
+  if (matcher == "feedback") return 2.0;
   return 1.0;
 }
 }  // namespace
@@ -27,7 +27,7 @@ std::vector<MatchCandidate> CombineMatches(
   for (const MatchCandidate& m : candidates) {
     Key key{m.source_relation, m.source_attribute, m.target_relation,
             m.target_attribute};
-    double w = WeightFor(options, m.matcher);
+    double w = WeightFor(m.matcher);
     Acc& a = acc[key];
     a.weighted_sum += w * m.score;
     a.weight += w;

@@ -9,16 +9,14 @@ namespace vada {
 
 /// Options for combining evidence from several matchers.
 struct CombinerOptions {
-  /// Relative weight per matcher name; unknown matchers get weight 1.
-  std::vector<std::pair<std::string, double>> matcher_weights = {
-      {"schema_name", 1.0}, {"instance", 1.2}, {"feedback", 2.0}};
   /// Final 1:1 assignment threshold.
   double threshold = 0.45;
 };
 
 /// Merges candidates from multiple matchers into a single consolidated
 /// candidate per correspondence (weighted mean of the available
-/// evidence), then enforces a greedy 1:1 assignment per source relation.
+/// evidence: schema_name 1.0, instance 1.2, feedback 2.0, any other
+/// matcher 1.0), then enforces a greedy 1:1 assignment per source relation.
 ///
 /// This implements the paper's pattern of several transducers per
 /// activity (schema vs instance matching) feeding one set of `match`

@@ -16,8 +16,9 @@ struct ColumnProfile {
   double stddev = 0.0;
 };
 
-ColumnProfile ProfileColumn(const Relation& rel, size_t index,
-                            size_t max_distinct) {
+ColumnProfile ProfileColumn(const Relation& rel, size_t index) {
+  // Distinct values sampled per column (caps cost on large relations).
+  constexpr size_t kMaxDistinctValues = 2000;
   ColumnProfile p;
   double sum = 0.0;
   double sq = 0.0;
@@ -25,7 +26,7 @@ ColumnProfile ProfileColumn(const Relation& rel, size_t index,
     const Value& v = row.at(index);
     if (v.is_null()) continue;
     ++p.non_null_count;
-    if (p.distinct.size() < max_distinct) {
+    if (p.distinct.size() < kMaxDistinctValues) {
       p.distinct.insert(v.ToString());
     }
     std::optional<double> d = v.AsDouble();
@@ -69,22 +70,19 @@ double ProfileScore(const ColumnProfile& a, const ColumnProfile& b) {
 }
 
 /// Combined score of two already-computed profiles (the shared core of
-/// ColumnScore and Match).
-double ScoreProfiles(const ColumnProfile& sp, const ColumnProfile& tp,
-                     const InstanceMatcherOptions& options) {
+/// ColumnScore and Match): value overlap vs numeric profile, weighted
+/// 0.7 : 0.3 when both apply.
+double ScoreProfiles(const ColumnProfile& sp, const ColumnProfile& tp) {
+  constexpr double kWeightOverlap = 0.7;
+  constexpr double kWeightProfile = 0.3;
   double overlap = OverlapScore(sp, tp);
   double profile = ProfileScore(sp, tp);
   if (profile <= 0.0) return overlap;
-  double wsum = options.weight_overlap + options.weight_profile;
-  return (options.weight_overlap * overlap +
-          options.weight_profile * profile) /
-         (wsum > 0.0 ? wsum : 1.0);
+  return (kWeightOverlap * overlap + kWeightProfile * profile) /
+         (kWeightOverlap + kWeightProfile);
 }
 
 }  // namespace
-
-InstanceMatcher::InstanceMatcher(InstanceMatcherOptions options)
-    : options_(options) {}
 
 double InstanceMatcher::ColumnScore(const Relation& source,
                                     const std::string& source_attr,
@@ -93,9 +91,7 @@ double InstanceMatcher::ColumnScore(const Relation& source,
   std::optional<size_t> si = source.schema().AttributeIndex(source_attr);
   std::optional<size_t> ti = target.schema().AttributeIndex(target_attr);
   if (!si.has_value() || !ti.has_value()) return 0.0;
-  ColumnProfile sp = ProfileColumn(source, *si, options_.max_distinct_values);
-  ColumnProfile tp = ProfileColumn(target, *ti, options_.max_distinct_values);
-  return ScoreProfiles(sp, tp, options_);
+  return ScoreProfiles(ProfileColumn(source, *si), ProfileColumn(target, *ti));
 }
 
 std::vector<MatchCandidate> InstanceMatcher::Match(
@@ -116,24 +112,22 @@ std::vector<MatchCandidate> InstanceMatcher::Match(
   std::vector<ColumnProfile> source_profiles;
   source_profiles.reserve(source.schema().arity());
   for (size_t i = 0; i < source.schema().arity(); ++i) {
-    source_profiles.push_back(
-        ProfileColumn(source, i, options_.max_distinct_values));
+    source_profiles.push_back(ProfileColumn(source, i));
   }
   std::vector<ColumnProfile> target_profiles;
   target_profiles.reserve(target_instances.schema().arity());
   for (size_t i = 0; i < target_instances.schema().arity(); ++i) {
-    target_profiles.push_back(
-        ProfileColumn(target_instances, i, options_.max_distinct_values));
+    target_profiles.push_back(ProfileColumn(target_instances, i));
   }
 
+  constexpr double kMinScore = 0.25;
   std::vector<MatchCandidate> out;
   for (size_t si = 0; si < source.schema().arity(); ++si) {
     const Attribute& sa = source.schema().attributes()[si];
     for (size_t ti = 0; ti < target_instances.schema().arity(); ++ti) {
       const Attribute& ta = target_instances.schema().attributes()[ti];
-      double score =
-          ScoreProfiles(source_profiles[si], target_profiles[ti], options_);
-      if (score < options_.min_score) continue;
+      double score = ScoreProfiles(source_profiles[si], target_profiles[ti]);
+      if (score < kMinScore) continue;
       MatchCandidate m;
       m.source_relation = source.name();
       m.source_attribute = sa.name;

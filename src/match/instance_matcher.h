@@ -9,16 +9,6 @@
 
 namespace vada {
 
-/// Options for instance-based matching.
-struct InstanceMatcherOptions {
-  double min_score = 0.25;
-  /// Distinct values sampled per column (caps cost on large relations).
-  size_t max_distinct_values = 2000;
-  /// Weight of value-overlap vs numeric-profile evidence when both apply.
-  double weight_overlap = 0.7;
-  double weight_profile = 0.3;
-};
-
 /// Instance matcher (Table 1: "Instance Matching | Src/Target Instances"):
 /// scores attribute correspondences from the data itself. Works against
 /// any relation holding instances for the target side — typically
@@ -27,11 +17,11 @@ struct InstanceMatcherOptions {
 /// Evidence combined per column pair:
 ///  * value overlap: Jaccard of distinct rendered values;
 ///  * numeric profile: similarity of (mean, stddev) for numeric columns.
+/// When both apply they are weighted 0.7 : 0.3. Candidates scoring below
+/// 0.25 are not reported, and at most 2000 distinct values are sampled
+/// per column.
 class InstanceMatcher {
  public:
-  explicit InstanceMatcher(
-      InstanceMatcherOptions options = InstanceMatcherOptions());
-
   /// Scores every (source attribute, target attribute) pair using the
   /// instances in `source` and `target_instances`. `target_attribute_of`
   /// maps attribute names of `target_instances` to target-schema names
@@ -47,9 +37,6 @@ class InstanceMatcher {
   double ColumnScore(const Relation& source, const std::string& source_attr,
                      const Relation& target, const std::string& target_attr)
       const;
-
- private:
-  InstanceMatcherOptions options_;
 };
 
 }  // namespace vada

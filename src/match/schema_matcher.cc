@@ -99,13 +99,14 @@ double SchemaMatcher::NameScore(const std::string& source_name,
   }
   tok = std::max(tok, 0.8 * overlap);
 
-  double wsum = options_.weight_exact + options_.weight_jaro_winkler +
-                options_.weight_qgram + options_.weight_token;
-  if (wsum <= 0.0) return 0.0;
-  double combined =
-      (options_.weight_exact * exact + options_.weight_jaro_winkler * jw +
-       options_.weight_qgram * qg + options_.weight_token * tok) /
-      wsum;
+  constexpr double kWeightExact = 1.0;
+  constexpr double kWeightJaroWinkler = 0.45;
+  constexpr double kWeightQgram = 0.25;
+  constexpr double kWeightToken = 0.30;
+  double combined = (kWeightExact * exact + kWeightJaroWinkler * jw +
+                     kWeightQgram * qg + kWeightToken * tok) /
+                    (kWeightExact + kWeightJaroWinkler + kWeightQgram +
+                     kWeightToken);
   // An exact (canonical) name match should dominate noisy partial scores;
   // full token containment ("numberOfBedrooms" vs "bedrooms") is strong
   // but clearly weaker evidence.
@@ -118,11 +119,12 @@ double SchemaMatcher::NameScore(const std::string& source_name,
 
 std::vector<MatchCandidate> SchemaMatcher::Match(const Schema& source,
                                                  const Schema& target) const {
+  constexpr double kMinScore = 0.35;
   std::vector<MatchCandidate> out;
   for (const Attribute& sa : source.attributes()) {
     for (const Attribute& ta : target.attributes()) {
       double score = NameScore(sa.name, ta.name);
-      if (score < options_.min_score) continue;
+      if (score < kMinScore) continue;
       MatchCandidate m;
       m.source_relation = source.relation_name();
       m.source_attribute = sa.name;

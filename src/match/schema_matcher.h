@@ -13,13 +13,6 @@ namespace vada {
 
 /// Options for name-based schema matching.
 struct SchemaMatcherOptions {
-  /// Candidates scoring below this are not reported.
-  double min_score = 0.35;
-  /// Weights of the combined name score (normalised internally).
-  double weight_exact = 1.0;
-  double weight_jaro_winkler = 0.45;
-  double weight_qgram = 0.25;
-  double weight_token = 0.30;
   /// Extra synonym groups merged with the built-in dictionary.
   std::vector<std::set<std::string>> extra_synonyms;
   /// Disable the built-in synonym dictionary (ablation switch).
@@ -29,13 +22,15 @@ struct SchemaMatcherOptions {
 /// Name-based schema matcher (paper §2.1: "attribute correspondences may
 /// need to be derived by schema matchers"). Scores every source/target
 /// attribute pair with a weighted combination of exact/lowercase match,
-/// Jaro-Winkler, q-gram Jaccard and token-set similarity, with synonym
-/// normalisation ("zip" ~ "postcode", "beds" ~ "bedrooms", ...).
+/// Jaro-Winkler, q-gram Jaccard and token-set similarity (weights 1.0,
+/// 0.45, 0.25, 0.30, normalised), with synonym normalisation ("zip" ~
+/// "postcode", "beds" ~ "bedrooms", ...). Candidates scoring below 0.35
+/// are not reported.
 class SchemaMatcher {
  public:
   explicit SchemaMatcher(SchemaMatcherOptions options = SchemaMatcherOptions());
 
-  /// All candidates >= min_score, best-per-pair deduplicated.
+  /// All candidates scoring >= 0.35, best-per-pair deduplicated.
   std::vector<MatchCandidate> Match(const Schema& source,
                                     const Schema& target) const;
 

@@ -171,9 +171,11 @@ void CfdLearner::LearnForLhs(const Relation& data,
                   if (a.size != b.size) return a.size > b.size;
                   return a.key < b.key;
                 });
+      // At most 50 constant CFDs, highest support first.
+      constexpr size_t kMaxConstantCfds = 50;
       size_t emitted = 0;
       for (const PureGroup& g : pure_groups) {
-        if (emitted >= options_.max_constant_cfds) break;
+        if (emitted >= kMaxConstantCfds) break;
         Cfd c;
         for (size_t k = 0; k < lhs_idx.size(); ++k) {
           c.lhs_attributes.push_back(schema.attributes()[lhs_idx[k]].name);

@@ -77,8 +77,6 @@ struct CfdLearnerOptions {
   double min_confidence = 0.95;
   /// Emit constant CFDs for pure lhs groups of at least this size.
   size_t constant_min_group = 4;
-  /// Cap on emitted constant CFDs (highest support first).
-  size_t max_constant_cfds = 50;
 };
 
 /// Learns CFDs from (clean) reference/master data, the paper's CFD

@@ -8,17 +8,18 @@ namespace vada {
 
 /// Fault-tolerance policy of the dynamic orchestrator (DESIGN.md §5d).
 ///
-/// Retry: a failed Execute() is rolled back (WriteGuard) and retried up
-/// to `max_attempts` times within the same orchestration step, sleeping
-/// an exponentially growing backoff between attempts.
+/// Every Execute() runs under a WriteGuard. A failed one is rolled back
+/// and retried up to `max_attempts` times within the same orchestration
+/// step, sleeping an exponential backoff between attempts (1, 2, 4, ...
+/// ms, capped at 50 ms).
 ///
 /// Quarantine (circuit breaker): after `quarantine_after` consecutive
 /// step-level failures the transducer's circuit opens — it is excluded
 /// from the eligible set and orchestration continues without it. After
-/// `quarantine_cooldown_scans` eligibility scans (or at a would-be
-/// fixpoint, while probe budget remains) the circuit goes half-open and
-/// the transducer gets one trial execution: success closes the circuit
-/// (it exits quarantine), failure re-opens it.
+/// 3 eligibility scans (or at a would-be fixpoint, while probe budget
+/// remains) the circuit goes half-open and the transducer gets one trial
+/// execution: success closes the circuit (it exits quarantine), failure
+/// re-opens it.
 ///
 /// Budgets: `run_budget_ms` bounds Run() wall clock — when exhausted the
 /// session keeps its best-effort result and Run() returns OK with
@@ -29,23 +30,11 @@ namespace vada {
 /// `sys_transducer_failure(transducer, code, attempt, step)` so Vadalog
 /// dependency queries and scheduling policies can reason over failures.
 struct FailurePolicy {
-  /// Master switch. false = the seed code path: no write-guard, no
-  /// retries, first Execute() error aborts Run(). The fault-tolerance
-  /// overhead bench (bench_orchestration_faults) compares the two.
-  bool enabled = true;
-
   /// Execute() attempts per orchestration step (>= 1).
   size_t max_attempts = 3;
 
-  /// Exponential backoff between attempts of one step.
-  double backoff_initial_ms = 1.0;
-  double backoff_multiplier = 2.0;
-  double backoff_max_ms = 50.0;
-
   /// Consecutive step-level failures before the circuit opens.
   size_t quarantine_after = 3;
-  /// Eligibility scans an open circuit sits out before a half-open probe.
-  size_t quarantine_cooldown_scans = 3;
   /// Half-open probe budget per transducer per Run(), shared between
   /// cooldown promotion and fixpoint promotion (when nothing else is
   /// eligible, open circuits with budget left get one more trial before

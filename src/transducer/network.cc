@@ -20,7 +20,6 @@ constexpr const char* kFailureRelation = "sys_transducer_failure";
 constexpr const char* kQuarantineRelation = "sys_transducer_quarantined";
 
 void SleepBackoff(const FailurePolicy& policy, double ms) {
-  if (ms <= 0) return;
   if (policy.sleep_ms != nullptr) {
     policy.sleep_ms(ms);
     return;
@@ -76,12 +75,16 @@ void RetractQuarantineFacts(KnowledgeBase* kb, const std::string& transducer) {
   }
 }
 
-/// Chains the transducer's name onto a dependency error but keeps the
-/// underlying code (a parse error stays kParseError, an evaluation bug
-/// stays kInternal) so callers can dispatch on it.
+/// Chains the transducer's name onto a dependency or Execute() error but
+/// keeps the underlying code (a parse error stays kParseError, an
+/// evaluation bug stays kInternal) so callers can dispatch on it.
 Status DependencyError(const Transducer& transducer, const Status& error) {
   return Status(error.code(), "input dependency of " + transducer.name() +
                                   " failed to evaluate: " + error.message());
+}
+Status ExecuteError(const Transducer& transducer, const Status& error) {
+  return Status(error.code(), "transducer " + transducer.name() +
+                                  " failed: " + error.message());
 }
 
 }  // namespace
@@ -127,7 +130,16 @@ Transducer* FifoPolicy::Choose(const std::vector<Transducer*>& eligible) {
 NetworkTransducer::NetworkTransducer(TransducerRegistry* registry,
                                      std::unique_ptr<SchedulingPolicy> policy,
                                      OrchestratorOptions options)
-    : registry_(registry), policy_(std::move(policy)), options_(options) {}
+    : registry_(registry), policy_(std::move(policy)), options_(options) {
+  obs::MetricsRegistry* m =
+      options_.obs != nullptr ? options_.obs->metrics() : nullptr;
+  if (m != nullptr) {
+    dep_check_hist_ = m->GetHistogram(
+        "vada_orchestrator_dependency_check_seconds",
+        "One input-dependency Datalog query",
+        obs::Histogram::DefaultLatencyBucketsSeconds());
+  }
+}
 
 Status NetworkTransducer::SyncControlFacts(KnowledgeBase* kb) {
   Relation roles(
@@ -205,16 +217,9 @@ Result<bool> NetworkTransducer::CheckDependency(Dependency* dep,
   eval_options.planner = options_.planner;
   eval_options.metrics =
       options_.obs != nullptr ? options_.obs->metrics() : nullptr;
-  obs::Histogram* dep_check_hist =
-      eval_options.metrics == nullptr
-          ? nullptr
-          : eval_options.metrics->GetHistogram(
-                "vada_orchestrator_dependency_check_seconds",
-                "One input-dependency Datalog query",
-                obs::Histogram::DefaultLatencyBucketsSeconds());
   obs::ScopedSpan dep_span(
       options_.obs != nullptr ? options_.obs->spans() : nullptr,
-      dep_check_hist, "dep_check", "orchestrator");
+      dep_check_hist_, "dep_check", "orchestrator");
   std::vector<uint64_t> versions;
   for (const std::string& name : dep->reads) {
     versions.push_back(kb.relation_version(name));
@@ -421,7 +426,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
 
   for (size_t step = 0; step < options_.max_steps; ++step) {
     // Wall-clock budget: stop gracefully and keep the best-effort result.
-    if (fp.enabled && fp.run_budget_ms > 0) {
+    if (fp.run_budget_ms > 0) {
       double elapsed_ms =
           static_cast<double>(obs::MonotonicNanos() - run_start_ns) * 1e-6;
       if (elapsed_ms >= fp.run_budget_ms) {
@@ -454,11 +459,9 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
       // Phase 1: gating (mutates failure_state_).
       std::vector<Transducer*> candidates;
       for (const std::unique_ptr<Transducer>& t : registry_->transducers()) {
-        FailureState* fs = nullptr;
-        if (fp.enabled) {
-          auto fit = failure_state_.find(t->name());
-          fs = fit == failure_state_.end() ? nullptr : &fit->second;
-        }
+        auto fit = failure_state_.find(t->name());
+        FailureState* fs =
+            fit == failure_state_.end() ? nullptr : &fit->second;
         bool probation = false;
         if (fs != nullptr) {
           if (fs->circuit == Circuit::kOpen) {
@@ -467,7 +470,10 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
             // benched, which is what guarantees Run() terminates for a
             // permanently failing transducer.
             if (fs->probes_used >= fp.quarantine_max_probes) continue;
-            if (++fs->cooldown_progress < fp.quarantine_cooldown_scans) {
+            // Eligibility scans an open circuit sits out before its
+            // half-open probe.
+            constexpr size_t kQuarantineCooldownScans = 3;
+            if (++fs->cooldown_progress < kQuarantineCooldownScans) {
               continue;  // still benched
             }
             fs->circuit = Circuit::kHalfOpen;  // cooldown over: probation
@@ -508,7 +514,6 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
         }
         if (!ready.ok()) {
           Status dep_error = DependencyError(*t, ready.status());
-          if (!fp.enabled) return finalize(dep_error);
           // Dependency-evaluation failures get the same treatment as
           // execute failures: recorded, counted towards quarantine, and
           // the transducer is skipped instead of aborting the run.
@@ -527,22 +532,20 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
       // gate bypass (each grant either succeeds — resetting the
       // count — or moves them one failure closer to quarantine, so the
       // loop still terminates).
-      if (fp.enabled) {
-        bool promoted = false;
-        for (auto& [name, fs] : failure_state_) {
-          if (fs.circuit == Circuit::kOpen &&
-              fs.probes_used < fp.quarantine_max_probes) {
-            fs.circuit = Circuit::kHalfOpen;
-            ++fs.probes_used;
-            promoted = true;
-          } else if (fs.circuit == Circuit::kClosed &&
-                     fs.consecutive_failures > 0 && !fs.retry_scheduled) {
-            fs.retry_scheduled = true;
-            promoted = true;
-          }
+      bool promoted = false;
+      for (auto& [name, fs] : failure_state_) {
+        if (fs.circuit == Circuit::kOpen &&
+            fs.probes_used < fp.quarantine_max_probes) {
+          fs.circuit = Circuit::kHalfOpen;
+          ++fs.probes_used;
+          promoted = true;
+        } else if (fs.circuit == Circuit::kClosed &&
+                   fs.consecutive_failures > 0 && !fs.retry_scheduled) {
+          fs.retry_scheduled = true;
+          promoted = true;
         }
-        if (promoted) continue;
       }
+      if (promoted) continue;
       return finalize(Status::OK());  // fixpoint
     }
 
@@ -566,42 +569,42 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
 
     // Execute with retry: every attempt runs under a write-guard, so a
     // failed attempt leaves the KB exactly as it was (versions included),
-    // and logs what it reads for the gate.
-    const size_t max_attempts =
-        fp.enabled ? std::max<size_t>(1, fp.max_attempts) : 1;
+    // and logs what it reads for the gate. Retries sleep an exponential
+    // backoff: 1, 2, 4, ... ms, capped at 50 ms.
+    constexpr double kBackoffInitialMs = 1.0;
+    constexpr double kBackoffMultiplier = 2.0;
+    constexpr double kBackoffMaxMs = 50.0;
+    const size_t max_attempts = std::max<size_t>(1, fp.max_attempts);
     uint64_t t0 = obs::MonotonicNanos();
     Status exec_status;
     size_t attempts = 0;
     bool rolled_back = false;
-    double backoff_ms = fp.backoff_initial_ms;
+    double backoff_ms = kBackoffInitialMs;
     KnowledgeBase::ReadLog reads;  // of the last attempt
     for (attempts = 1; attempts <= max_attempts; ++attempts) {
       ExecutionContext ctx;
       ctx.set_attempt(attempts);
       ctx.set_step(next_step_);
-      if (fp.enabled) ctx.SetTimeoutMs(fp.execute_timeout_ms);
+      ctx.SetTimeoutMs(fp.execute_timeout_ms);
       obs::ScopedSpan execute_span(spans, execute_hist, chosen->name(),
                                    chosen->activity());
-      std::optional<WriteGuard> guard;
-      if (fp.enabled) guard.emplace(kb);
+      WriteGuard guard(kb);
       reads = KnowledgeBase::ReadLog();
       kb->SetReadLog(&reads);
       exec_status = chosen->Execute(kb, &ctx);
       kb->SetReadLog(nullptr);
       if (exec_status.ok()) {
-        if (guard.has_value()) guard->Commit();
+        guard.Commit();
         break;
       }
-      if (guard.has_value()) {
-        uint64_t rb0 = obs::MonotonicNanos();
-        guard->Rollback();
-        if (rollback_hist != nullptr) {
-          rollback_hist->Observe(
-              static_cast<double>(obs::MonotonicNanos() - rb0) * 1e-9);
-        }
-        rolled_back = true;
-        ++st->rollbacks;
+      uint64_t rb0 = obs::MonotonicNanos();
+      guard.Rollback();
+      if (rollback_hist != nullptr) {
+        rollback_hist->Observe(
+            static_cast<double>(obs::MonotonicNanos() - rb0) * 1e-9);
       }
+      rolled_back = true;
+      ++st->rollbacks;
       if (attempts < max_attempts) {
         ++st->retries;
         if (m != nullptr) {
@@ -611,8 +614,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
               ->Increment();
         }
         SleepBackoff(fp, backoff_ms);
-        backoff_ms = std::min(backoff_ms * fp.backoff_multiplier,
-                              fp.backoff_max_ms);
+        backoff_ms = std::min(backoff_ms * kBackoffMultiplier, kBackoffMaxMs);
       }
     }
     attempts = std::min(attempts, max_attempts);
@@ -662,37 +664,29 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
       }
     }
 
-    if (options_.record_trace) {
-      TraceEvent event;
-      event.step = next_step_++;
-      event.transducer = chosen->name();
-      event.activity = chosen->activity();
-      event.policy = policy_->name();
-      for (Transducer* t : eligible) event.eligible.push_back(t->name());
-      event.version_before = version_before;
-      event.version_after = version_after;
-      event.changed_kb = changed;
-      event.facts_added = facts_added;
-      event.facts_removed = facts_removed;
-      event.start_ns = t0;
-      event.duration_ms = static_cast<double>(t1 - t0) * 1e-6;
-      event.attempts = attempts;
-      event.rolled_back = rolled_back;
-      if (!exec_status.ok()) event.note = exec_status.ToString();
-      trace_.Add(std::move(event));
-    } else {
-      ++next_step_;
-    }
+    TraceEvent event;
+    event.step = next_step_++;
+    event.transducer = chosen->name();
+    event.activity = chosen->activity();
+    event.policy = policy_->name();
+    for (Transducer* t : eligible) event.eligible.push_back(t->name());
+    event.version_before = version_before;
+    event.version_after = version_after;
+    event.changed_kb = changed;
+    event.facts_added = facts_added;
+    event.facts_removed = facts_removed;
+    event.start_ns = t0;
+    event.duration_ms = static_cast<double>(t1 - t0) * 1e-6;
+    event.attempts = attempts;
+    event.rolled_back = rolled_back;
+    if (!exec_status.ok()) event.note = exec_status.ToString();
+    trace_.Add(std::move(event));
 
     if (exec_status.ok()) {
-      if (fp.enabled) RecordSuccess(chosen, kb, m);
+      RecordSuccess(chosen, kb, m);
     } else {
-      if (!fp.enabled) {
-        return finalize(Status(exec_status.code(),
-                               "transducer " + chosen->name() +
-                                   " failed: " + exec_status.message()));
-      }
-      RecordFailure(chosen, exec_status, attempts, next_step_ - 1, kb, st, m);
+      RecordFailure(chosen, ExecuteError(*chosen, exec_status), attempts,
+                    next_step_ - 1, kb, st, m);
       // Wait for new information (or a quarantine probe) before trying
       // this transducer again: otherwise its own failure facts would make
       // it immediately eligible in a failure loop.

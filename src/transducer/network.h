@@ -72,7 +72,6 @@ struct OrchestratorOptions {
   /// Hard step cap: a diverging (non-idempotent) transducer set stops
   /// with an error instead of spinning.
   size_t max_steps = 500;
-  bool record_trace = true;
   /// Observability context (not owned; may outlive many Run calls). Null
   /// or disabled: every instrumentation site reduces to a pointer check.
   obs::ObsContext* obs = nullptr;
@@ -245,6 +244,9 @@ class NetworkTransducer {
   std::map<std::string, LastRun> last_run_;
   std::map<std::string, FailureState> failure_state_;
   std::map<std::string, Dependency> parsed_deps_;
+  /// vada_orchestrator_dependency_check_seconds, resolved once (the
+  /// obs context is fixed at construction); null without metrics.
+  obs::Histogram* dep_check_hist_ = nullptr;
   uint64_t control_synced_at_version_ = 0;
   size_t next_step_ = 0;
 };

@@ -18,7 +18,6 @@
 #include "mapping/generator.h"
 #include "mapping/selector.h"
 #include "match/combiner.h"
-#include "match/instance_matcher.h"
 #include "match/schema_matcher.h"
 #include "obs/obs.h"
 #include "quality/cfd.h"
@@ -31,11 +30,9 @@ namespace vada {
 /// selection or a mapping selection transducer ... selects sources or
 /// mappings, taking into account the user context").
 struct SourceSelectorOptions {
-  /// Sources whose trust score falls below this are excluded from
-  /// mapping generation entirely.
-  double min_trust = 0.25;
-  /// Master switch; with false, trust scores are still computed (they
-  /// weight fusion votes) but nothing is excluded.
+  /// Sources whose trust score falls below 0.25 are excluded from mapping
+  /// generation entirely. With false, trust scores are still computed
+  /// (they weight fusion votes) but nothing is excluded.
   bool exclude_below_min = true;
 };
 
@@ -48,12 +45,11 @@ enum class AnalysisEnforcement {
   kStrict = 2,      ///< warnings fail registration too
 };
 
-/// Tuning knobs of the standard transducer suite. Every component's
-/// options are surfaced so deployments (and ablation benches) can adjust
-/// behaviour without new transducers.
+/// Tuning knobs of the standard transducer suite. A component value is
+/// surfaced here only when some caller sets it; the rest are constants
+/// at their point of use.
 struct WranglerConfig {
   SchemaMatcherOptions schema_matcher;
-  InstanceMatcherOptions instance_matcher;
   CombinerOptions combiner;
   MappingGeneratorOptions generator;
   CfdLearnerOptions cfd_learner;
@@ -70,11 +66,14 @@ struct WranglerConfig {
   /// analysis errors (unsafe rules, arity mismatches, missing `ready`
   /// goal) reject the transducer and warnings are logged.
   AnalysisEnforcement analysis = AnalysisEnforcement::kErrorsOnly;
-  /// Fault tolerance of the orchestration loop: write-guard rollback,
-  /// retry with exponential backoff, quarantine (circuit breaker),
-  /// execution budgets and failure facts. Defaults degrade gracefully;
-  /// set `fault_tolerance.enabled = false` for the bare fail-fast loop.
-  /// See failure_policy.h and DESIGN.md §5d.
+  /// Fault tolerance of the orchestration loop, which always runs: every
+  /// Execute() is write-guarded and rolled back on failure, then retried
+  /// with a fixed exponential backoff (1 to 50 ms). Repeat offenders are
+  /// quarantined (circuit breaker, 3-scan cooldown), and every failure
+  /// becomes a sys_transducer_failure fact; Run() degrades instead of
+  /// aborting. The attempts, quarantine threshold, probe budget and
+  /// execution budgets are settable. See failure_policy.h and DESIGN.md
+  /// §5d.
   FailurePolicy fault_tolerance;
   /// Join planning for every Datalog evaluation the session runs —
   /// mapping execution, dependency scans and orchestration queries:

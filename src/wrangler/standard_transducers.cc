@@ -10,6 +10,7 @@
 #include "fusion/fuser.h"
 #include "mapping/executor.h"
 #include "mapping/mapping.h"
+#include "match/instance_matcher.h"
 #include "quality/metrics.h"
 
 namespace vada {
@@ -98,7 +99,7 @@ Status InstanceMatchingBody(WranglingState* state, KnowledgeBase* kb) {
   Result<Schema> target = TargetSchema(*kb, *state);
   if (!target.ok()) return target.status();
   ReadContextMirror(*kb, *state, /*cfds=*/false);
-  InstanceMatcher matcher(state->config.instance_matcher);
+  InstanceMatcher matcher;
   std::vector<MatchCandidate> all;
   for (const std::string& source : SourceNames(*kb)) {
     const Relation* src = kb->FindRelation(source);
@@ -342,8 +343,9 @@ Status SourceSelectionBody(WranglingState* state, KnowledgeBase* kb) {
             : it->second.first / static_cast<double>(it->second.second);
     VADA_RETURN_IF_ERROR(trust.InsertUnchecked(
         Tuple({Value::String(source), Value::Double(score)})));
+    constexpr double kMinTrust = 0.25;
     if (state->config.source_selector.exclude_below_min &&
-        score < state->config.source_selector.min_trust) {
+        score < kMinTrust) {
       VADA_RETURN_IF_ERROR(
           excluded.InsertUnchecked(Tuple({Value::String(source)})));
     }

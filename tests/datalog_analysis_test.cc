@@ -478,12 +478,25 @@ TEST(AnalyzerPropertyTest, NeverCrashesAndNeverPassesUnsafePrograms) {
     }
     ++parsed;
     // The evaluator's own gate is Program::Validate (what Parser::Parse
-    // enforces). Anything it rejects must be an analyzer error too.
+    // enforces). Anything it rejects must be an analyzer error too, and
+    // a program with no safety/* error must pass it.
+    bool safety_error = false;
+    for (const Diagnostic& d : report.diagnostics) {
+      if (d.severity == Severity::kError &&
+          d.check_id.rfind("safety/", 0) == 0) {
+        safety_error = true;
+      }
+    }
     if (!unvalidated.value().Validate().ok()) {
       ++unsafe;
       EXPECT_GT(report.error_count(), 0u)
           << "analyzer passed a program the evaluator rejects:\n"
           << src << unvalidated.value().Validate().ToString();
+      EXPECT_TRUE(safety_error) << src;
+    } else {
+      EXPECT_FALSE(safety_error)
+          << "analyzer reports a safety error the evaluator accepts:\n"
+          << src;
     }
   }
   // The generator must actually exercise both sides of the contract.

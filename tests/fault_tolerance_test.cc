@@ -91,9 +91,6 @@ TEST(FaultToleranceTest, RetriesUseExponentialBackoff) {
   OrchestratorOptions options;
   options.failure_policy = RecordingPolicy(&backoffs);
   options.failure_policy.max_attempts = 4;
-  options.failure_policy.backoff_initial_ms = 1.0;
-  options.failure_policy.backoff_multiplier = 2.0;
-  options.failure_policy.backoff_max_ms = 50.0;
   NetworkTransducer orchestrator(&registry, std::make_unique<FifoPolicy>(),
                                  options);
   OrchestrationStats stats;
@@ -108,6 +105,38 @@ TEST(FaultToleranceTest, RetriesUseExponentialBackoff) {
   ASSERT_FALSE(orchestrator.trace().events().empty());
   EXPECT_EQ(orchestrator.trace().events().front().attempts, 4u);
   EXPECT_TRUE(orchestrator.trace().events().front().rolled_back);
+}
+
+TEST(FaultToleranceTest, BackoffDoublesUpToItsCap) {
+  KnowledgeBase kb = SeedKb();
+  TransducerRegistry registry;
+  auto inner = std::make_unique<FunctionTransducer>(
+      "flaky", "act", kReadyOnA, [](KnowledgeBase* kb) {
+        VADA_RETURN_IF_ERROR(
+            kb->EnsureRelation(Schema::Untyped("out", {"v"})));
+        return kb->Insert("out", {Value::Int(42)});
+      });
+  FaultSpec spec;
+  spec.kind = FaultKind::kFailFirstN;
+  spec.count = 7;
+  ASSERT_TRUE(registry.Add(WrapWithFault(std::move(inner), spec)).ok());
+
+  std::vector<double> backoffs;
+  OrchestratorOptions options;
+  options.failure_policy = RecordingPolicy(&backoffs);
+  options.failure_policy.max_attempts = 8;
+  NetworkTransducer orchestrator(&registry, std::make_unique<FifoPolicy>(),
+                                 options);
+  OrchestrationStats stats;
+  ASSERT_TRUE(orchestrator.Run(&kb, &stats).ok());
+  // Seven failed attempts, then success on the eighth; the seventh sleep
+  // would be 64 ms but is capped at 50.
+  EXPECT_EQ(stats.retries, 7u);
+  EXPECT_EQ(stats.failures, 0u);
+  ASSERT_EQ(backoffs,
+            (std::vector<double>{1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 50.0}));
+  ASSERT_TRUE(kb.HasRelation("out"));
+  EXPECT_EQ(kb.FindRelation("out")->size(), 1u);
 }
 
 TEST(FaultToleranceTest, PermanentFailureIsQuarantinedAndRunCompletes) {

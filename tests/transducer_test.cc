@@ -212,6 +212,21 @@ TEST(NetworkTest, NonIdempotentTransducerHitsStepCap) {
   EXPECT_NE(s.message().find("max_steps"), std::string::npos);
 }
 
+/// The code of the last sys_transducer_failure row recorded for
+/// `transducer`, or "" when there is none.
+std::string FailureCode(const KnowledgeBase& kb,
+                        const std::string& transducer) {
+  const Relation* failures = kb.FindRelation("sys_transducer_failure");
+  if (failures == nullptr) return "";
+  std::string code;
+  for (const Tuple& row : failures->rows()) {
+    if (row.at(0).string_value() == transducer) {
+      code = row.at(1).string_value();
+    }
+  }
+  return code;
+}
+
 TEST(NetworkTest, TransducerErrorSurfacesWithName) {
   KnowledgeBase kb = SeedKb();
   TransducerRegistry registry;
@@ -223,16 +238,16 @@ TEST(NetworkTest, TransducerErrorSurfacesWithName) {
                         return Status::Internal("boom");
                       }))
                   .ok());
-  // Default fault tolerance degrades gracefully; switch it off to check
-  // that errors still surface with the transducer's name.
-  OrchestratorOptions options;
-  options.failure_policy.enabled = false;
-  NetworkTransducer orchestrator(&registry, std::make_unique<FifoPolicy>(),
-                                 options);
-  Status s = orchestrator.Run(&kb);
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInternal);  // code preserved, not wrapped
-  EXPECT_NE(s.message().find("broken"), std::string::npos);
+  NetworkTransducer orchestrator(&registry, std::make_unique<FifoPolicy>());
+  // The run degrades instead of aborting; the error keeps the
+  // transducer's name and its code.
+  ASSERT_TRUE(orchestrator.Run(&kb).ok());
+  const NetworkTransducer::FailureState* fs =
+      orchestrator.failure_state("broken");
+  ASSERT_NE(fs, nullptr);
+  EXPECT_NE(fs->last_error.find("broken"), std::string::npos);
+  EXPECT_NE(fs->last_error.find("boom"), std::string::npos);
+  EXPECT_EQ(FailureCode(kb, "broken"), "internal");  // preserved, not wrapped
 }
 
 TEST(NetworkTest, BadDependencySyntaxSurfaces) {
@@ -243,15 +258,14 @@ TEST(NetworkTest, BadDependencySyntaxSurfaces) {
                       "bad_dep", "act", "ready( :- nope",
                       [](KnowledgeBase*) { return Status::OK(); }))
                   .ok());
-  OrchestratorOptions options;
-  options.failure_policy.enabled = false;
-  NetworkTransducer orchestrator(&registry, std::make_unique<FifoPolicy>(),
-                                 options);
-  Status s = orchestrator.Run(&kb);
-  EXPECT_FALSE(s.ok());
+  NetworkTransducer orchestrator(&registry, std::make_unique<FifoPolicy>());
+  ASSERT_TRUE(orchestrator.Run(&kb).ok());
+  const NetworkTransducer::FailureState* fs =
+      orchestrator.failure_state("bad_dep");
+  ASSERT_NE(fs, nullptr);
+  EXPECT_NE(fs->last_error.find("bad_dep"), std::string::npos);
   // The parse error's code must survive (no InvalidArgument laundering).
-  EXPECT_EQ(s.code(), StatusCode::kParseError);
-  EXPECT_NE(s.message().find("bad_dep"), std::string::npos);
+  EXPECT_EQ(FailureCode(kb, "bad_dep"), "parse_error");
 }
 
 TEST(VadalogTransducerTest, DerivesAndAssertsFacts) {
